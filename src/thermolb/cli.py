@@ -261,10 +261,16 @@ def cmd_verify(args) -> int:
 
 # -------------------------------------------------------------- simulate
 
-def _snapshot_csv(snapshot) -> str:
-    rows = [[i, snapshot.rho[i], snapshot.u[i], snapshot.theta[i],
-             snapshot.rho[i] * snapshot.theta[i]] for i in range(len(snapshot.rho))]
-    return _csv_lines(["X", "rho", "u", "theta", "p"], rows)
+_SNAPSHOT_HEADER = "X,rho,u,theta,p\n"
+_SNAPSHOT_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
+
+
+def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
+    """Per-node profile table; the same bytes _csv_lines gives for these
+    rows, written with one format string per row."""
+    rows = zip(range(len(rho)), rho.tolist(), u.tolist(), theta.tolist(),
+               (rho * theta).tolist())
+    return _SNAPSHOT_HEADER + "".join(_SNAPSHOT_ROW % row for row in rows)
 
 
 def _config_dict(config: ShockTubeConfig, steps: int) -> dict:
@@ -291,8 +297,10 @@ def cmd_simulate(args) -> int:
                              high_side=args.high_side, tau=args.tau,
                              steps=args.steps,
                              snapshot_interval=args.snapshot_interval)
-    result = run(config, workers=args.workers)
-    csv_text = _snapshot_csv(result.final)
+    worker_count(args.workers)  # checks THERMOLB_WORKERS too; a tube runs on one core
+    result = run(config)
+    final = result.final
+    csv_text = _snapshot_csv(final.rho, final.u, final.theta)
     if args.csv:
         _write_text(args.csv, csv_text)
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
@@ -357,22 +365,18 @@ def cmd_riemann(args) -> int:
         if args.time is None or args.time <= 0:
             raise UsageError("--csv needs a positive --time")
         x = (np.arange(args.nodes) - args.interface) * args.dx
-        rho, u, theta = sample_profile(sol, x, args.time)
-        rows = [[i, rho[i], u[i], theta[i], rho[i] * theta[i]]
-                for i in range(args.nodes)]
-        _write_text(args.csv, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
+        _write_text(args.csv, _snapshot_csv(*sample_profile(sol, x, args.time)))
     return EXIT_OK
 
 
 # --------------------------------------------------------------- compare
 
 def _read_snapshot_csv(path: str):
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != ["X", "rho", "u", "theta", "p"]:
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    if header != _SNAPSHOT_HEADER.rstrip("\n").split(","):
         raise UsageError(f"{path}: unexpected snapshot header {header}")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    return data
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def cmd_compare(args) -> int:
@@ -520,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: shock crosses 35%% of the lattice")
     p.add_argument("--snapshot-interval", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="default: THERMOLB_WORKERS or 1")
+                   help="validated like stability-scan's (default: THERMOLB_WORKERS "
+                        "or 1); a tube runs on one core")
     p.add_argument("--csv", default=None, help="final snapshot CSV path")
     p.add_argument("--manifest", default=None, help="run manifest JSON path")
     p.add_argument("--expect-stable", action="store_true")
@@ -558,7 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", default="1.0")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes over the scan's runs (default: "
+                        "THERMOLB_WORKERS or 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability_scan)
 

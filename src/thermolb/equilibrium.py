@@ -220,10 +220,14 @@ def truncated_mb_moment(m: int, spec: ExpansionSpec, rho: float, u: float,
 class DiscreteEquilibrium:
     """Compiled evaluator for f_i^eq = rho * wbar_i * P(v_i; u, theta).
 
-    Precomputes the matrix C[i, j] = c_j(v_i) over the (u, t) monomials of
-    P.  Evaluation uses only elementwise operations and a fixed
-    accumulation order, which keeps results bitwise reproducible and
-    exactly symmetric under mirroring (v, u) -> (-v, -u).
+    Every (u, t) monomial u**a * t**b of P carries a coefficient
+    polynomial c_ab(v) of the parity of a.  Split by that parity over the
+    positive speeds, f(+v) = rho * (E + O) and f(-v) = rho * (E - O), with
+    E the even and O the odd part in u and wbar folded into both; the rest
+    speed has only even columns.  Negating u negates every odd monomial
+    exactly and leaves E alone, so mirroring (v, u) -> (-v, -u) swaps each
+    +/- pair bitwise by construction.  Evaluation is elementwise with a
+    fixed accumulation order, so results are bitwise reproducible.
     """
 
     def __init__(self, model: VelocityModel, poly: EquilibriumPolynomial):
@@ -236,44 +240,69 @@ class DiscreteEquilibrium:
         groups: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (kv, ku, kt), c in poly.terms.items():
             groups.setdefault((ku, kt), {})[kv] = c
-        self.exponents = sorted(groups)
+        exponents = sorted(groups)
+        self.even = [key for key in exponents if key[0] % 2 == 0]
+        self.odd = [key for key in exponents if key[0] % 2 == 1]
         v = model.velocities()
-        vmax = poly.v_degree
-        vpow = np.empty((vmax + 1, model.q))
-        for j in range(vmax + 1):
-            vpow[j] = v**j
-        c_matrix = np.empty((model.q, len(self.exponents)))
-        for col, key in enumerate(self.exponents):
-            coeffs = groups[key]
-            for i in range(model.q):
-                c_matrix[i, col] = math.fsum(
-                    float(c) * vpow[j, i] for j, c in sorted(coeffs.items()))
-        self.c_matrix = c_matrix
-        self.wbar = model.normalized_weights_full()
-        self.max_u = max(a for a, _ in self.exponents)
-        self.max_t = max(b for _, b in self.exponents)
+        self.v_plus = v[1::2]
 
-    def populations(self, rho, u, theta) -> np.ndarray:
+        def columns(keys: list[tuple[int, int]], speeds: np.ndarray) -> np.ndarray:
+            out = np.empty((len(speeds), len(keys)))
+            for col, key in enumerate(keys):
+                for i, s in enumerate(speeds):
+                    out[i, col] = math.fsum(float(c) * s**j
+                                            for j, c in sorted(groups[key].items()))
+            return out
+
+        # weights folded into the columns; E rows are [rest, +v_1, +v_2, ...]
+        wbar = model.normalized_weights_full()
+        self.c_even = columns(self.even, np.append(0.0, self.v_plus)) * wbar[0::2, None]
+        self.c_odd = columns(self.odd, self.v_plus) * wbar[1::2, None]
+        self.max_u = max(a for a, _ in exponents)
+        self.max_t = max(b for _, b in exponents)
+
+    def populations(self, rho, u, theta, out: np.ndarray | None = None) -> np.ndarray:
         """Equilibrium populations; scalar inputs give shape (q,), arrays
-        of shape (X,) give (q, X)."""
+        of shape (X,) give (q, X), written into out when one is given."""
         rho = np.asarray(rho, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
         theta = np.asarray(theta, dtype=np.float64)
         scalar = rho.ndim == 0
         rho, u, theta = np.atleast_1d(rho, u, theta)
         t = theta - 1.0
-        upow = [np.ones_like(u)]
-        for _ in range(self.max_u):
-            upow.append(upow[-1] * u)
-        tpow = [np.ones_like(t)]
-        for _ in range(self.max_t):
-            tpow.append(tpow[-1] * t)
-        acc = np.zeros((self.model.q, rho.shape[0]))
-        for col, (a, b) in enumerate(self.exponents):
-            acc += self.c_matrix[:, col:col + 1] * (upow[a] * tpow[b])[None, :]
-        acc *= self.wbar[:, None]
-        acc *= rho[None, :]
-        return acc[:, 0] if scalar else acc
+        k, n = len(self.v_plus), rho.shape[0]
+        if out is None:
+            out = np.empty((self.model.q, n))
+        even = out[0::2]  # rest row, then the even part at every -v row
+        odd = out[1::2]  # odd part at the +v rows
+        term = np.empty((k + 1, n))
+        mono = np.empty(n)
+        # an underflowing monomial rounds to its correct tiny value
+        with np.errstate(under="ignore"):
+            upow = [None, u]  # upow[0] (like tpow[0]) is the constant 1
+            for _ in range(2, self.max_u + 1):
+                upow.append(upow[-1] * u)
+            tpow = [None, t]
+            for _ in range(2, self.max_t + 1):
+                tpow.append(tpow[-1] * t)
+            for acc, c, keys in ((even, self.c_even, self.even),
+                                 (odd, self.c_odd, self.odd)):
+                acc[...] = 0.0
+                prod = term[:len(c)]
+                for col, (a, b) in enumerate(keys):
+                    column = c[:, col:col + 1]
+                    if a and b:
+                        acc += np.multiply(column, np.multiply(upow[a], tpow[b], out=mono),
+                                           out=prod)
+                    elif a or b:
+                        acc += np.multiply(column, upow[a] if a else tpow[b], out=prod)
+                    else:
+                        acc += column
+            minus = np.subtract(even[1:], odd, out=term[:k])  # E - O
+            np.add(even[1:], odd, out=odd)  # E + O
+            even[1:] = minus
+            out *= rho
+        return out[:, 0] if scalar else out
 
 
 def evaluate_feq(model: VelocityModel, poly: EquilibriumPolynomial,

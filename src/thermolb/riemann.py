@@ -232,18 +232,35 @@ def sample_profile(solution: RiemannSolution, positions: np.ndarray,
                    time: float, origin: float = 0.0):
     """Sampled (rho, u, theta) arrays at given physical positions and time.
 
-    time = 0 returns the initial discontinuity at the origin.
+    time = 0 returns the initial discontinuity at the origin.  Every
+    position reads exactly what sample() gives for it: the region tests
+    are the same comparisons, the constant regions take the same floats,
+    and the few positions inside a rarefaction fan go through sample().
     """
     positions = np.asarray(positions, dtype=np.float64)
-    rho = np.empty_like(positions)
-    u = np.empty_like(positions)
-    theta = np.empty_like(positions)
-    for i, x in enumerate(positions):
-        if time > 0.0:
-            state = sample(solution, (x - origin) / time)
-        else:
-            state = solution.left if x < origin else solution.right
-        rho[i], u[i], theta[i] = state.rho, state.u, state.theta
+    if not time > 0.0:
+        left = positions < origin
+        return tuple(np.where(left, getattr(solution.left, name),
+                              getattr(solution.right, name))
+                     for name in ("rho", "u", "theta"))
+    xi = (positions - origin) / time
+    rho = np.empty_like(xi)
+    u = np.empty_like(xi)
+    theta = np.empty_like(xi)
+    left = xi <= solution.u_star
+    for side, state, wave, rho_star, sign in (
+            (left, solution.left, solution.left_wave, solution.rho_star_left, -1),
+            (~left, solution.right, solution.right_wave, solution.rho_star_right, +1)):
+        outside = side & ((xi < wave.head) if sign < 0 else (xi > wave.head))
+        star = side & ~outside
+        if wave.kind != "shock":  # a shock has no fan: all of star is behind it
+            star &= (xi > wave.tail) if sign < 0 else (xi < wave.tail)
+        rho[outside], u[outside], theta[outside] = state.rho, state.u, state.theta
+        rho[star], u[star] = rho_star, solution.u_star
+        theta[star] = 2.0 * solution.p_star / rho_star
+        for i in np.flatnonzero(side & ~outside & ~star):
+            s = sample(solution, xi[i])
+            rho[i], u[i], theta[i] = s.rho, s.u, s.theta
     return rho, u, theta
 
 

@@ -5,26 +5,33 @@ population moving at speed v2 * p_i / p_1 hops exactly p_i whole nodes
 per step.  Populations relax toward the truncated discrete equilibrium
 with a single relaxation time tau (tau = 1 replaces f by f_eq exactly).
 
-Determinism: every arithmetic path uses elementwise numpy operations or
-fixed-order reductions on fixed-size node chunks, so results are
-bit-identical across runs and across worker counts, and exactly mirror
-symmetric under (x, v, u) -> (-x, -v, -u).
+Each step runs as whole-array numpy operations over every node: the
+collision, a slice-shift stream into a second buffer that then swaps
+with the first (the wrapped-around columns land inside the boundary
+bands, which are rewritten right after), the two band columns computed
+once per run, and the moments.
+
+Determinism: every arithmetic path is elementwise or reduces over the
+velocity axis of one node in a fixed order, so results are bit-identical
+across runs, and the equilibrium and the moments are organized over
++/- speed pairs, so they are exactly mirror symmetric under
+(x, v, u) -> (-x, -v, -u).  Stability scans may run their independent
+tube runs in worker processes; each run is computed the same way in any
+process, so the rows do not depend on the worker count.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .equilibrium import DiscreteEquilibrium, EquilibriumPolynomial, ExpansionSpec, expand
+from .equilibrium import DiscreteEquilibrium, ExpansionSpec, expand
 from .model_solver import VelocityModel
 from .riemann import GasState, solve_riemann
 
 WORKERS_ENV_VAR = "THERMOLB_WORKERS"
-_CHUNK = 256  # fixed chunk width; never derived from the worker count
 
 
 def worker_count(explicit: int | None = None) -> int:
@@ -103,6 +110,7 @@ class LatticeState:
     u: np.ndarray
     theta: np.ndarray
     step_count: int = 0
+    kernel: _Kernel | None = None  # set by init_shock_tube; step needs it
 
 
 @dataclass(frozen=True)
@@ -126,95 +134,100 @@ class StabilityVerdict:
 
 
 class _Kernel:
-    """Per-run compiled pieces: velocity tables and the equilibrium
-    evaluator, shared by collision, boundaries and diagnostics."""
+    """Per-run compiled pieces: velocity tables, the equilibrium
+    evaluator, the two boundary-band columns and the work buffers."""
 
-    def __init__(self, model: VelocityModel, poly: EquilibriumPolynomial):
-        self.model = model
-        self.eq = DiscreteEquilibrium(model, poly)
-        v = model.velocities()
-        self.v_plus = np.ascontiguousarray(v[1::2])  # positive speeds
+    def __init__(self, config: ShockTubeConfig):
+        model = config.model
+        self.eq = DiscreteEquilibrium(model, expand(config.expansion))
+        self.v_plus = self.eq.v_plus  # positive speeds
         self.v_plus_sq = self.v_plus * self.v_plus
         self.hops = model.hops()
+        self.omega = 1.0 / config.tau
+        ls, rs = config.left_state, config.right_state
+        self.left_band = self.eq.populations(ls.rho, ls.u, ls.theta)[:, None]
+        self.right_band = self.eq.populations(rs.rho, rs.u, rs.theta)[:, None]
+        self.feq = np.empty((model.q, config.nodes))
+        self.spare = np.empty((model.q, config.nodes))
 
     def macro_into(self, f: np.ndarray, rho: np.ndarray, u: np.ndarray,
-                   theta: np.ndarray, sl: slice) -> None:
-        """Moments of one node slice, written in place.
+                   theta: np.ndarray) -> None:
+        """Moments of every node, written in place.
 
         Sums are organized over +/- speed pairs so that the odd moment of
         a mirrored population set is the exact float negation.
         """
-        fp = f[1::2, sl]
-        fm = f[2::2, sl]
+        fp = f[1::2]
+        fm = f[2::2]
         pair_sum = fp + fm
         pair_diff = fp - fm
-        r = f[0, sl] + pair_sum.sum(axis=0)
+        r = f[0] + pair_sum.sum(axis=0)
         with np.errstate(all="ignore"):
-            mom = (self.v_plus[:, None] * pair_diff).sum(axis=0)
-            ene = (self.v_plus_sq[:, None] * pair_sum).sum(axis=0)
+            pair_diff *= self.v_plus[:, None]
+            mom = pair_diff.sum(axis=0)
+            pair_sum *= self.v_plus_sq[:, None]
+            ene = pair_sum.sum(axis=0)
             uu = mom / r
             th = 2.0 * (ene / r - uu * uu)
-        rho[sl] = r
-        u[sl] = uu
-        theta[sl] = th
+        rho[:] = r
+        u[:] = uu
+        theta[:] = th
 
-    def collide_into(self, state: LatticeState, omega: float, sl: slice) -> None:
-        feq = self.eq.populations(state.rho[sl], state.u[sl], state.theta[sl])
-        state.f[:, sl] *= 1.0 - omega
-        state.f[:, sl] += omega * feq
+    def collide(self, state: LatticeState) -> np.ndarray:
+        """Post-collision populations.  tau = 1 gives the equilibrium
+        itself, which is what (1 - 1) * f + 1 * feq equals for finite f;
+        otherwise state.f is relaxed in place and returned."""
+        feq = self.eq.populations(state.rho, state.u, state.theta, out=self.feq)
+        if self.omega == 1.0:
+            return feq
+        state.f *= 1.0 - self.omega
+        feq *= self.omega
+        state.f += feq
+        return state.f
+
+    def stream(self, post: np.ndarray, dst: np.ndarray) -> None:
+        """Shift every population row by its hop from post into dst.  The
+        first or last |hop| columns of a row keep stale values; they lie
+        inside the boundary bands, which the caller rewrites next."""
+        for i, hop in enumerate(self.hops):
+            if hop > 0:
+                dst[i, hop:] = post[i, :-hop]
+            elif hop < 0:
+                dst[i, :hop] = post[i, -hop:]
+            else:
+                dst[i] = post[i]
 
 
-def _chunks(n: int) -> list[slice]:
-    return [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-
-
-def _run_chunked(fn, slices: list[slice], pool: ThreadPoolExecutor | None) -> None:
-    if pool is None:
-        for sl in slices:
-            fn(sl)
-    else:
-        list(pool.map(fn, slices))
-
-
-def init_shock_tube(config: ShockTubeConfig, kernel: _Kernel | None = None) -> LatticeState:
-    """Equilibrium initialization of the two-state tube."""
-    kernel = kernel or _Kernel(config.model, expand(config.expansion))
+def init_shock_tube(config: ShockTubeConfig) -> LatticeState:
+    """Equilibrium initialization of the two-state tube, carrying the
+    run's kernel, which is built here once."""
+    kernel = _Kernel(config)
     q, n = config.model.q, config.nodes
     f = np.empty((q, n))
-    for state, sl in ((config.left_state, slice(0, config.interface)),
-                      (config.right_state, slice(config.interface, n))):
-        f[:, sl] = kernel.eq.populations(state.rho, state.u, state.theta)[:, None]
-    out = LatticeState(f=f, rho=np.empty(n), u=np.empty(n), theta=np.empty(n))
-    kernel.macro_into(f, out.rho, out.u, out.theta, slice(0, n))
+    f[:, :config.interface] = kernel.left_band
+    f[:, config.interface:] = kernel.right_band
+    out = LatticeState(f=f, rho=np.empty(n), u=np.empty(n), theta=np.empty(n),
+                       kernel=kernel)
+    kernel.macro_into(f, out.rho, out.u, out.theta)
     return out
 
 
-def apply_boundaries(state: LatticeState, config: ShockTubeConfig,
-                     kernel: _Kernel | None = None) -> LatticeState:
+def apply_boundaries(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
     """Overwrite the first and last band_width nodes with the fixed
     equilibria of the respective side states (Dirichlet bands)."""
-    kernel = kernel or _Kernel(config.model, expand(config.expansion))
     b = config.band_width
-    ls, rs = config.left_state, config.right_state
-    state.f[:, :b] = kernel.eq.populations(ls.rho, ls.u, ls.theta)[:, None]
-    state.f[:, -b:] = kernel.eq.populations(rs.rho, rs.u, rs.theta)[:, None]
+    state.f[:, :b] = state.kernel.left_band
+    state.f[:, -b:] = state.kernel.right_band
     return state
 
 
-def step(state: LatticeState, config: ShockTubeConfig, kernel: _Kernel | None = None,
-         pool: ThreadPoolExecutor | None = None) -> LatticeState:
+def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
     """One collide-stream-boundary update.  Mutates and returns state."""
-    kernel = kernel or _Kernel(config.model, expand(config.expansion))
-    slices = _chunks(config.nodes)
-    omega = 1.0 / config.tau
-    _run_chunked(lambda sl: kernel.collide_into(state, omega, sl), slices, pool)
-    for i, hop in enumerate(kernel.hops):
-        if hop:
-            state.f[i] = np.roll(state.f[i], hop)
-    apply_boundaries(state, config, kernel)
-    _run_chunked(
-        lambda sl: kernel.macro_into(state.f, state.rho, state.u, state.theta, sl),
-        slices, pool)
+    kernel = state.kernel
+    kernel.stream(kernel.collide(state), kernel.spare)
+    state.f, kernel.spare = kernel.spare, state.f
+    apply_boundaries(state, config)
+    kernel.macro_into(state.f, state.rho, state.u, state.theta)
     state.step_count += 1
     return state
 
@@ -266,7 +279,7 @@ class RunResult:
         return self.snapshots[-1]
 
 
-def run(config: ShockTubeConfig, workers: int | None = None) -> RunResult:
+def run(config: ShockTubeConfig) -> RunResult:
     """Run a shock tube to its horizon (or until instability).
 
     Snapshots are recorded every snapshot_interval steps (always the
@@ -274,11 +287,8 @@ def run(config: ShockTubeConfig, workers: int | None = None) -> RunResult:
     check, if any, and the largest density-fluctuation score seen in a
     recorded snapshot.
     """
-    kernel = _Kernel(config.model, expand(config.expansion))
-    state = init_shock_tube(config, kernel)
+    state = init_shock_tube(config)
     total = config.steps if config.steps is not None else default_step_count(config)
-    nworkers = worker_count(workers)
-    pool = ThreadPoolExecutor(max_workers=nworkers) if nworkers > 1 else None
     margin = config.band_width + 1
     snapshots: list[Snapshot] = []
     fluct = 0.0
@@ -292,20 +302,16 @@ def run(config: ShockTubeConfig, workers: int | None = None) -> RunResult:
 
     failure_step = None
     failure_mode = None
-    try:
-        for n in range(1, total + 1):
-            step(state, config, kernel, pool)
-            mode = check_health(state, 1.5 * config.model.max_speed)
-            if mode is not None:
-                failure_step, failure_mode = n, mode
-                break
-            if config.snapshot_interval and n % config.snapshot_interval == 0:
-                record(state)
-        if failure_mode is None and (not snapshots or snapshots[-1].step != state.step_count):
+    for n in range(1, total + 1):
+        step(state, config)
+        mode = check_health(state, 1.5 * config.model.max_speed)
+        if mode is not None:
+            failure_step, failure_mode = n, mode
+            break
+        if config.snapshot_interval and n % config.snapshot_interval == 0:
             record(state)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if failure_mode is None and (not snapshots or snapshots[-1].step != state.step_count):
+        record(state)
     if failure_mode is not None and not snapshots:
         # keep the last computed (unhealthy) fields for post-mortems
         snapshots.append(Snapshot(step=state.step_count, rho=state.rho.copy(),
@@ -388,27 +394,41 @@ class ScanEntry:
     steps: int
 
 
+def _scan_entry(job: tuple[str, ShockTubeConfig]) -> ScanEntry:
+    """One scan row; module level so that worker processes can run it."""
+    name, config = job
+    result = run(config)
+    return ScanEntry(model_name=name, expansion=config.expansion.label,
+                     rho_bar=config.rho_bar, tau=config.tau,
+                     stable=result.verdict.stable,
+                     failure_step=result.verdict.failure_step,
+                     failure_mode=result.verdict.failure_mode,
+                     fluctuation=result.verdict.max_density_fluctuation,
+                     steps=result.steps_requested)
+
+
 def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                    expansions: Iterable[ExpansionSpec],
                    rho_bars: Iterable[float], taus: Iterable[float] = (1.0,),
                    steps: int | None = None, nodes: int = 1000,
                    workers: int | None = None) -> list[ScanEntry]:
-    """Grid of shock-tube runs; one verdict row per combination."""
-    entries = []
-    for name, model in model_specs:
-        for spec in expansions:
-            for rho_bar in rho_bars:
-                for tau in taus:
-                    config = ShockTubeConfig(model=model, expansion=spec,
-                                             rho_bar=rho_bar, tau=tau,
-                                             nodes=nodes, steps=steps,
-                                             interface=nodes // 2)
-                    result = run(config, workers=workers)
-                    entries.append(ScanEntry(
-                        model_name=name, expansion=spec.label, rho_bar=rho_bar,
-                        tau=tau, stable=result.verdict.stable,
-                        failure_step=result.verdict.failure_step,
-                        failure_mode=result.verdict.failure_mode,
-                        fluctuation=result.verdict.max_density_fluctuation,
-                        steps=result.steps_requested))
-    return entries
+    """Grid of shock-tube runs; one verdict row per combination, in grid
+    order.  With more than one worker (explicit, or THERMOLB_WORKERS) the
+    runs are spread over at most that many spawned worker processes, so a
+    calling script needs the usual ``if __name__ == "__main__":`` guard."""
+    expansions, rho_bars, taus = list(expansions), list(rho_bars), list(taus)
+    jobs = [(name, ShockTubeConfig(model=model, expansion=spec, rho_bar=rho_bar,
+                                   tau=tau, nodes=nodes, steps=steps,
+                                   interface=nodes // 2))
+            for name, model in model_specs for spec in expansions
+            for rho_bar in rho_bars for tau in taus]
+    nworkers = min(worker_count(workers), len(jobs))
+    if nworkers <= 1:
+        return [_scan_entry(job) for job in jobs]
+    # imported here: they cost every other entry point ~15 ms of start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=nworkers, mp_context=context) as pool:
+        return list(pool.map(_scan_entry, jobs))

@@ -152,7 +152,7 @@ def test_criterion_05_moment_accuracy_guarantee(q5, q7, q11, q21):
 def _plateaus(model, spec):
     config = ShockTubeConfig(model=model, expansion=spec)
     start = time.perf_counter()
-    result = run(config, workers=1)
+    result = run(config)
     assert time.perf_counter() - start < 30.0
     assert result.verdict.stable
     return extract_plateaus(result.final, config.probe_low, config.probe_high)

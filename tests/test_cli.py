@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from thermolb.cli import (EXIT_EXPECTATION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                          main)
+                          _csv_lines, _read_snapshot_csv, _snapshot_csv, main)
 from thermolb.equilibrium import ExpansionSpec, expand
 from thermolb.riemann import GasState, sample_profile, solve_riemann
 
@@ -316,6 +316,25 @@ def test_simulate_usage_errors(tmp_path):
     assert main(argv) == EXIT_USAGE
     assert main(["simulate", "--model", "no-such", "--kind", "taylor",
                  "--order", "2"]) == EXIT_USAGE
+
+
+def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
+    tiny = float(np.finfo(np.float64).tiny)
+    awkward = np.array([-0.0, 0.0, 5e-324, tiny / 3, -tiny / 7, tiny, 1e-300, -1e-300,
+                        1.0, -2.0, 3e15, 2.0 ** 53, -(2.0 ** 60), 0.1, 1 / 3, 1e150])
+    n = 100_003  # six-digit node indices
+    rng = np.random.default_rng(5)
+    rho, u, theta = (rng.permutation(np.resize(awkward, n)) for _ in range(3))
+    with np.errstate(under="ignore"):  # p = rho * theta of two subnormals
+        text = _snapshot_csv(rho, u, theta)
+        rows = [[i, rho[i], u[i], theta[i], rho[i] * theta[i]] for i in range(n)]
+    assert text == _csv_lines(["X", "rho", "u", "theta", "p"], rows)
+    path = tmp_path / "awkward.csv"
+    path.write_text(text)
+    parsed = np.array([[float(c) for c in line.split(",")]
+                       for line in text.splitlines()[1:]])
+    assert np.array_equal(_read_snapshot_csv(str(path)).view(np.uint64),
+                          parsed.view(np.uint64))  # sign of zero included
 
 
 # ---------------------------------------------------------------- riemann

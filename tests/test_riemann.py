@@ -199,6 +199,48 @@ def test_sample_profile_matches_pointwise():
         assert theta[i] == want.theta
 
 
+# left rarefaction + right shock, its mirror, two shocks, two rarefactions
+WAVE_PAIRS = [((3.0, 0.0, 1.0), (1.0, 0.0, 1.0)), ((1.0, 0.0, 1.0), (3.0, 0.0, 1.0)),
+              ((1.0, 0.5, 1.0), (1.5, -0.5, 0.8)), ((1.0, -0.3, 1.0), (2.0, 0.3, 1.2))]
+
+
+def _pointwise_profile(sol, xs, t, origin):
+    """sample_profile as one sample() per position: the reference the
+    whole-array version must match bit for bit."""
+    states = [sample(sol, (x - origin) / t) if t > 0.0
+              else (sol.left if x < origin else sol.right) for x in xs]
+    return tuple(np.array([getattr(s, name) for s in states])
+                 for name in ("rho", "u", "theta"))
+
+
+def _assert_profile_is_pointwise(sol, xs, t, origin=0.0):
+    got = sample_profile(sol, xs, t, origin=origin)
+    for field, want in zip(got, _pointwise_profile(sol, xs, t, origin)):
+        assert np.array_equal(field, want)
+
+
+@pytest.mark.parametrize("left,right", WAVE_PAIRS)
+def test_sample_profile_is_pointwise_at_every_wave_edge(left, right):
+    sol = solve_riemann(GasState(*left), GasState(*right))
+    edges = [sol.u_star]
+    for wave in (sol.left_wave, sol.right_wave):
+        edges += [wave.head, wave.tail]
+    # t = 1 and origin 0 make each edge an exact similarity coordinate
+    xs = np.array(sorted(edges + [np.nextafter(e, d) for e in edges for d in (-9, 9)]))
+    _assert_profile_is_pointwise(sol, xs, 1.0)
+    _assert_profile_is_pointwise(sol, xs, 0.0)  # the initial discontinuity
+    _assert_profile_is_pointwise(sol, np.array([-1.0, 0.0, 1.0]), 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(WAVE_PAIRS),
+       xs=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=64),
+       t=st.just(0.0) | st.floats(0.01, 100.0), origin=st.floats(-20.0, 20.0))
+def test_sample_profile_is_pointwise_at_random_positions(pair, xs, t, origin):
+    sol = solve_riemann(GasState(*pair[0]), GasState(*pair[1]))
+    _assert_profile_is_pointwise(sol, np.array(xs), t, origin)
+
+
 def test_mirror_symmetry():
     left = GasState(rho=3.0, u=0.1, theta=1.2)
     right = GasState(rho=1.0, u=-0.2, theta=0.9)

@@ -2,11 +2,11 @@
 
 The update rule is simple enough to audit from first principles: with
 tau = 1 the collision replaces populations by the discrete equilibrium,
-streaming is a whole-node roll, and the boundary bands are rewritten
+streaming is a whole-node shift, and the boundary bands are rewritten
 with fixed equilibria.  The tests below check each piece against that
 description (exact where exactness is promised, fsum budgets for the
 conservation accounting) plus the determinism contract: bit-identical
-results across worker counts and under mirror reflection.
+results across runs and scan worker counts, and under mirror reflection.
 """
 import math
 from dataclasses import replace
@@ -14,13 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermolb.equilibrium import ExpansionSpec, expand
+from thermolb.equilibrium import ExpansionSpec
 from thermolb.simulator import (
     WORKERS_ENV_VAR,
     LatticeState,
     ShockTubeConfig,
     Snapshot,
-    _Kernel,
     check_health,
     default_step_count,
     density_fluctuation,
@@ -38,17 +37,13 @@ TE4 = ExpansionSpec("taylor", 4)
 HE3 = ExpansionSpec("hermite", 3)
 
 
-def make_kernel(model, spec=TE2):
-    return _Kernel(model, expand(spec))
-
-
 # ---------------------------------------------------------------- setup
 
 
 def test_initial_state_is_two_resting_equilibria(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
-    kernel = make_kernel(q5)
-    state = init_shock_tube(config, kernel)
+    state = init_shock_tube(config)
+    kernel = state.kernel
     dense = kernel.eq.populations(3.0, 0.0, 1.0)
     dilute = kernel.eq.populations(1.0, 0.0, 1.0)
     assert np.array_equal(state.f[:, :500], np.broadcast_to(dense[:, None], (q5.q, 500)))
@@ -71,10 +66,10 @@ def test_high_side_right_swaps_the_dense_half(q5):
 
 def test_boundary_bands_stay_pinned(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
-    kernel = make_kernel(q5)
-    state = init_shock_tube(config, kernel)
+    state = init_shock_tube(config)
+    kernel = state.kernel
     for _ in range(12):
-        step(state, config, kernel)
+        step(state, config)
     b = config.band_width
     assert b == 3  # largest single-step hop of the (1, 3) model
     dense = kernel.eq.populations(3.0, 0.0, 1.0)
@@ -119,30 +114,29 @@ def test_uniform_state_is_a_fixed_point(q5):
 
 def test_unit_tau_collision_replaces_f_by_equilibrium(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
-    kernel = make_kernel(q5)
-    state = init_shock_tube(config, kernel)
+    state = init_shock_tube(config)
+    kernel = state.kernel
     for _ in range(3):
-        step(state, config, kernel)
+        step(state, config)
     expected = kernel.eq.populations(state.rho, state.u, state.theta)
-    kernel.collide_into(state, 1.0, slice(0, config.nodes))
-    assert np.array_equal(state.f, expected)
+    assert np.array_equal(kernel.collide(state), expected)
 
 
 def test_collision_conserves_node_moments(q5):
     # omega != 1 mixes old and equilibrium populations; both carry the
     # same mass, momentum and energy, so the node moments cannot move
-    config = ShockTubeConfig(model=q5, expansion=TE2)
-    kernel = make_kernel(q5)
-    state = init_shock_tube(config, kernel)
+    config = ShockTubeConfig(model=q5, expansion=TE2, tau=0.7)
+    state = init_shock_tube(config)
+    kernel = state.kernel
     for _ in range(10):
-        step(state, config, kernel)
+        step(state, config)
     v = q5.velocities()
     f0 = state.f.copy()
     moments0 = [f0.sum(axis=0), (v[:, None] * f0).sum(axis=0),
                 (v[:, None] ** 2 * f0).sum(axis=0)]
-    kernel.collide_into(state, 1.0 / 0.7, slice(0, config.nodes))
-    moments1 = [state.f.sum(axis=0), (v[:, None] * state.f).sum(axis=0),
-                (v[:, None] ** 2 * state.f).sum(axis=0)]
+    f1 = kernel.collide(state)
+    moments1 = [f1.sum(axis=0), (v[:, None] * f1).sum(axis=0),
+                (v[:, None] ** 2 * f1).sum(axis=0)]
     for before, after in zip(moments0, moments1):
         scale = np.abs(before).max()
         assert np.abs(after - before).max() <= 1e-12 * scale
@@ -152,16 +146,16 @@ def test_streaming_budget_over_an_interior_window(q5):
     """Window mass after one step equals the pre-stream mass plus the
     per-species edge fluxes, with every sum taken by fsum."""
     config = ShockTubeConfig(model=q5, expansion=TE2)
-    kernel = make_kernel(q5)
-    state = init_shock_tube(config, kernel)
+    state = init_shock_tube(config)
+    kernel = state.kernel
     for _ in range(5):
-        step(state, config, kernel)
+        step(state, config)
     # tau = 1: the post-collision field is exactly the equilibrium of
     # the current macro fields, so we can reconstruct it bitwise
     post = kernel.eq.populations(state.rho, state.u, state.theta)
     a, b = 300, 700
     before = math.fsum(post[:, a:b].ravel())
-    step(state, config, kernel)
+    step(state, config)
     for i, h in enumerate(kernel.hops):
         assert np.array_equal(state.f[i, a:b], post[i, a - h:b - h])
     after = math.fsum(state.f[:, a:b].ravel())
@@ -176,14 +170,12 @@ def test_streaming_budget_over_an_interior_window(q5):
 
 def test_one_step_influence_radius_is_the_largest_hop(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2, rho_bar=1.0)
-    kernel = make_kernel(q5)
-    reference = init_shock_tube(config, kernel)
-    poked = init_shock_tube(config, kernel)
+    reference = init_shock_tube(config)
+    poked = init_shock_tube(config)
     poked.f[:, 500] *= 1.01
-    kernel.macro_into(poked.f, poked.rho, poked.u, poked.theta,
-                      slice(0, config.nodes))
-    step(reference, config, kernel)
-    step(poked, config, kernel)
+    poked.kernel.macro_into(poked.f, poked.rho, poked.u, poked.theta)
+    step(reference, config)
+    step(poked, config)
     changed = np.where((reference.f != poked.f).any(axis=0))[0]
     assert changed.size > 0
     assert changed.min() >= 500 - config.band_width
@@ -204,13 +196,12 @@ def test_mirror_configurations_give_bitwise_mirror_fields(q5):
 
 
 def test_worker_count_does_not_change_any_bit(q5):
-    config = ShockTubeConfig(model=q5, expansion=TE2, steps=40)
-    base = run(config, workers=1).final
-    for workers in (3, 4):
-        other = run(config, workers=workers).final
-        assert np.array_equal(other.rho, base.rho)
-        assert np.array_equal(other.u, base.u)
-        assert np.array_equal(other.theta, base.theta)
+    # worker processes run whole scan rows; the rows, their order and
+    # every float in them match the in-process scan
+    args = ([("5", q5)], [TE2, HE3], [3.0, 4.0], (1.0, 0.8))
+    base = stability_scan(*args, steps=40, workers=1)
+    assert len(base) == 8 and {e.stable for e in base} == {True, False}
+    assert stability_scan(*args, steps=40, workers=2) == base
 
 
 def test_worker_count_resolution(monkeypatch):
