@@ -524,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: shock crosses 35%% of the lattice")
     p.add_argument("--snapshot-interval", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="validated like stability-scan's (default: THERMOLB_WORKERS "
-                        "or 1); a tube runs on one core")
+                   help="checked to be >= 1 (default: THERMOLB_WORKERS or 1); "
+                        "the run uses one core whatever the value")
     p.add_argument("--csv", default=None, help="final snapshot CSV path")
     p.add_argument("--manifest", default=None, help="run manifest JSON path")
     p.add_argument("--expect-stable", action="store_true")
@@ -564,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes over the scan's runs (default: "
-                        "THERMOLB_WORKERS or 1)")
+                   help="checked to be >= 1 (default: THERMOLB_WORKERS or 1); "
+                        "the runs execute one after another on one core")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability_scan)
 

@@ -207,17 +207,15 @@ def sample(solution: RiemannSolution, xi: float) -> GasState:
         state, wave = solution.right, solution.right_wave
         rho_star, sign = solution.rho_star_right, +1
     p, a = state.pressure, state.sound_speed(g)
-    if wave.kind == "shock":
-        outside = xi < wave.speed if sign < 0 else xi > wave.speed
-        if outside:
-            return state
-        return GasState(rho_star, solution.u_star, 2.0 * solution.p_star / rho_star)
-    # rarefaction: head is the characteristic moving into the undisturbed
-    # state, tail borders the star region
+    # The region tests below are repeated, mask for mask, in
+    # sample_profile; a change here must be made there too.  head is the
+    # characteristic moving into the undisturbed state (a shock's speed),
+    # tail borders the star region; a shock has no fan, so everything
+    # behind its head is star state.
     outside = xi < wave.head if sign < 0 else xi > wave.head
     if outside:
         return state
-    inside_star = xi > wave.tail if sign < 0 else xi < wave.tail
+    inside_star = wave.kind == "shock" or (xi > wave.tail if sign < 0 else xi < wave.tail)
     if inside_star:
         return GasState(rho_star, solution.u_star, 2.0 * solution.p_star / rho_star)
     # inside the fan
@@ -233,9 +231,10 @@ def sample_profile(solution: RiemannSolution, positions: np.ndarray,
     """Sampled (rho, u, theta) arrays at given physical positions and time.
 
     time = 0 returns the initial discontinuity at the origin.  Every
-    position reads exactly what sample() gives for it: the region tests
-    are the same comparisons, the constant regions take the same floats,
-    and the few positions inside a rarefaction fan go through sample().
+    position reads exactly what sample() gives for it: the region masks
+    repeat sample()'s tests in the same order (keep the two in step), the
+    constant regions take the same floats, and the few positions inside a
+    rarefaction fan go through sample().
     """
     positions = np.asarray(positions, dtype=np.float64)
     if not time > 0.0:

@@ -15,9 +15,8 @@ Determinism: every arithmetic path is elementwise or reduces over the
 velocity axis of one node in a fixed order, so results are bit-identical
 across runs, and the equilibrium and the moments are organized over
 +/- speed pairs, so they are exactly mirror symmetric under
-(x, v, u) -> (-x, -v, -u).  Stability scans may run their independent
-tube runs in worker processes; each run is computed the same way in any
-process, so the rows do not depend on the worker count.
+(x, v, u) -> (-x, -v, -u).  Every run uses one core; the worker count is
+validated but changes no result.
 """
 from __future__ import annotations
 
@@ -105,12 +104,25 @@ class ShockTubeConfig:
 
 @dataclass
 class LatticeState:
+    """Lattice fields of one run, built by init_shock_tube.
+
+    step rebinds f to the kernel's second buffer every update and reuses
+    the previous f as scratch on the next one, so a caller that keeps the
+    populations across a step must copy state.f.
+    """
+
     f: np.ndarray  # populations, shape (q, nodes)
     rho: np.ndarray
     u: np.ndarray
     theta: np.ndarray
     step_count: int = 0
-    kernel: _Kernel | None = None  # set by init_shock_tube; step needs it
+    kernel: _Kernel | None = None  # the run's tables and buffers
+
+    def run_kernel(self) -> _Kernel:
+        if self.kernel is None:
+            raise ValueError("lattice state has no kernel; build it with "
+                             "init_shock_tube")
+        return self.kernel
 
 
 @dataclass(frozen=True)
@@ -216,14 +228,16 @@ def apply_boundaries(state: LatticeState, config: ShockTubeConfig) -> LatticeSta
     """Overwrite the first and last band_width nodes with the fixed
     equilibria of the respective side states (Dirichlet bands)."""
     b = config.band_width
-    state.f[:, :b] = state.kernel.left_band
-    state.f[:, -b:] = state.kernel.right_band
+    kernel = state.run_kernel()
+    state.f[:, :b] = kernel.left_band
+    state.f[:, -b:] = kernel.right_band
     return state
 
 
 def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
-    """One collide-stream-boundary update.  Mutates and returns state."""
-    kernel = state.kernel
+    """One collide-stream-boundary update.  Mutates and returns state;
+    state.f is rebound to the other population buffer (see LatticeState)."""
+    kernel = state.run_kernel()
     kernel.stream(kernel.collide(state), kernel.spare)
     state.f, kernel.spare = kernel.spare, state.f
     apply_boundaries(state, config)
@@ -394,41 +408,32 @@ class ScanEntry:
     steps: int
 
 
-def _scan_entry(job: tuple[str, ShockTubeConfig]) -> ScanEntry:
-    """One scan row; module level so that worker processes can run it."""
-    name, config = job
-    result = run(config)
-    return ScanEntry(model_name=name, expansion=config.expansion.label,
-                     rho_bar=config.rho_bar, tau=config.tau,
-                     stable=result.verdict.stable,
-                     failure_step=result.verdict.failure_step,
-                     failure_mode=result.verdict.failure_mode,
-                     fluctuation=result.verdict.max_density_fluctuation,
-                     steps=result.steps_requested)
-
-
 def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                    expansions: Iterable[ExpansionSpec],
                    rho_bars: Iterable[float], taus: Iterable[float] = (1.0,),
                    steps: int | None = None, nodes: int = 1000,
                    workers: int | None = None) -> list[ScanEntry]:
     """Grid of shock-tube runs; one verdict row per combination, in grid
-    order.  With more than one worker (explicit, or THERMOLB_WORKERS) the
-    runs are spread over at most that many spawned worker processes, so a
-    calling script needs the usual ``if __name__ == "__main__":`` guard."""
+    order.  The runs execute one after another in this process; workers
+    (explicit, or THERMOLB_WORKERS) is validated and otherwise unused."""
+    worker_count(workers)
     expansions, rho_bars, taus = list(expansions), list(rho_bars), list(taus)
-    jobs = [(name, ShockTubeConfig(model=model, expansion=spec, rho_bar=rho_bar,
-                                   tau=tau, nodes=nodes, steps=steps,
-                                   interface=nodes // 2))
-            for name, model in model_specs for spec in expansions
-            for rho_bar in rho_bars for tau in taus]
-    nworkers = min(worker_count(workers), len(jobs))
-    if nworkers <= 1:
-        return [_scan_entry(job) for job in jobs]
-    # imported here: they cost every other entry point ~15 ms of start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=nworkers, mp_context=context) as pool:
-        return list(pool.map(_scan_entry, jobs))
+    entries = []
+    for name, model in model_specs:
+        for spec in expansions:
+            for rho_bar in rho_bars:
+                for tau in taus:
+                    config = ShockTubeConfig(model=model, expansion=spec,
+                                             rho_bar=rho_bar, tau=tau,
+                                             nodes=nodes, steps=steps,
+                                             interface=nodes // 2)
+                    result = run(config)
+                    entries.append(ScanEntry(
+                        model_name=name, expansion=spec.label,
+                        rho_bar=rho_bar, tau=tau,
+                        stable=result.verdict.stable,
+                        failure_step=result.verdict.failure_step,
+                        failure_mode=result.verdict.failure_mode,
+                        fluctuation=result.verdict.max_density_fluctuation,
+                        steps=result.steps_requested))
+    return entries

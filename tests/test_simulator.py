@@ -20,6 +20,7 @@ from thermolb.simulator import (
     LatticeState,
     ShockTubeConfig,
     Snapshot,
+    apply_boundaries,
     check_health,
     default_step_count,
     density_fluctuation,
@@ -196,8 +197,8 @@ def test_mirror_configurations_give_bitwise_mirror_fields(q5):
 
 
 def test_worker_count_does_not_change_any_bit(q5):
-    # worker processes run whole scan rows; the rows, their order and
-    # every float in them match the in-process scan
+    # the worker count is validated and changes nothing: the rows, their
+    # order and every float in them match
     args = ([("5", q5)], [TE2, HE3], [3.0, 4.0], (1.0, 0.8))
     base = stability_scan(*args, steps=40, workers=1)
     assert len(base) == 8 and {e.stable for e in base} == {True, False}
@@ -249,6 +250,15 @@ def _toy_state(f, rho, u):
     return LatticeState(f=data, rho=np.asarray(rho, dtype=float),
                         u=np.asarray(u, dtype=float),
                         theta=np.ones(len(rho)))
+
+
+def test_step_without_kernel_is_a_clear_error(q5):
+    config = ShockTubeConfig(model=q5, expansion=TE2, nodes=60, interface=30)
+    state = _toy_state(np.ones((q5.q, 60)), np.ones(60), np.zeros(60))
+    with pytest.raises(ValueError, match="init_shock_tube"):
+        step(state, config)
+    with pytest.raises(ValueError, match="init_shock_tube"):
+        apply_boundaries(state, config)
 
 
 def test_check_health_modes():
