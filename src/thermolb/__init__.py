@@ -5,15 +5,12 @@ simulator and an exact Riemann reference solver."""
 __version__ = "0.1.0"
 
 from .equilibrium import (DiscreteEquilibrium, EquilibriumPolynomial,
-                          ExpansionSpec, evaluate_feq, expand, expand_he,
-                          expand_te, moment_accuracy, truncated_mb_moment,
-                          verify_moments)
-from .model_solver import (CATALOG, MultiDimModel, NoRealSolutionError,
-                           RatioTuple, VelocityModel, build_polynomial,
-                           closed_form_q5, detect_ghosts, resolve_catalog,
-                           solve_model, tensor_product_model)
-from .moments import (SqrtPiRational, discrete_moment, gaussian_moment,
-                      mb_moment)
+                          ExpansionSpec, expand, moment_accuracy,
+                          truncated_mb_moment, verify_moments)
+from .model_solver import (CATALOG, NoRealSolutionError, RatioTuple,
+                           VelocityModel, build_polynomial, closed_form_q5,
+                           detect_ghosts, resolve_catalog, solve_model)
+from .moments import discrete_moment, gaussian_moment
 from .riemann import (GasState, RiemannSolution, VacuumError, sample,
                       sample_profile, solve_riemann)
 from .simulator import (LatticeState, PlateauReport, RunResult,
@@ -23,14 +20,13 @@ from .simulator import (LatticeState, PlateauReport, RunResult,
 
 __all__ = [
     "CATALOG", "DiscreteEquilibrium", "EquilibriumPolynomial",
-    "ExpansionSpec", "GasState", "LatticeState", "MultiDimModel",
-    "NoRealSolutionError", "PlateauReport", "RatioTuple", "RiemannSolution",
-    "RunResult", "ShockTubeConfig", "Snapshot", "SqrtPiRational",
-    "StabilityVerdict", "VacuumError", "VelocityModel", "build_polynomial",
-    "closed_form_q5", "default_step_count", "detect_ghosts",
-    "discrete_moment", "evaluate_feq", "expand", "expand_he", "expand_te",
-    "extract_plateaus", "gaussian_moment", "init_shock_tube", "mb_moment",
+    "ExpansionSpec", "GasState", "LatticeState", "NoRealSolutionError",
+    "PlateauReport", "RatioTuple", "RiemannSolution", "RunResult",
+    "ShockTubeConfig", "Snapshot", "StabilityVerdict", "VacuumError",
+    "VelocityModel", "build_polynomial", "closed_form_q5",
+    "default_step_count", "detect_ghosts", "discrete_moment", "expand",
+    "extract_plateaus", "gaussian_moment", "init_shock_tube",
     "moment_accuracy", "resolve_catalog", "run", "sample", "sample_profile",
     "solve_model", "solve_riemann", "stability_scan", "step",
-    "tensor_product_model", "truncated_mb_moment", "verify_moments",
+    "truncated_mb_moment", "verify_moments",
 ]

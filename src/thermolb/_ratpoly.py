@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Poly = list[Fraction]
 
 _ZERO = Fraction(0)
-
-
-def as_poly(coeffs: Iterable) -> Poly:
-    return trim([Fraction(c) for c in coeffs])
 
 
 def trim(p: Sequence[Fraction]) -> Poly:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,21 +21,42 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import (ExpansionSpec, expand, moment_accuracy, verify_moments)
-from .model_solver import (CATALOG, NoRealSolutionError, RatioTuple, VelocityModel,
-                           closed_form_q5, resolve_catalog, solve_model)
+from ._ratpoly import eval_float
+from .equilibrium import ExpansionSpec, expand, verify_moments
+from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, NoRealSolutionError,
+                           RatioTuple, VelocityModel, _moment_residual,
+                           build_polynomial, resolve_catalog, solve_model)
 from .riemann import GasState, VacuumError, sample_profile, solve_riemann
-from .simulator import (ShockTubeConfig, default_step_count, extract_plateaus,
-                        run, stability_scan, worker_count)
+from .simulator import (ShockTubeConfig, Snapshot, extract_plateaus, run,
+                        stability_scan)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EXPECTATION = 3
 
+WORKERS_ENV_VAR = "THERMOLB_WORKERS"
+
 
 class UsageError(ValueError):
     pass
+
+
+def worker_count(explicit: int | None = None) -> int:
+    """The worker count from --workers, else THERMOLB_WORKERS, else 1,
+    checked to be >= 1.  Every run uses one core whatever the count."""
+    if explicit is not None:
+        if explicit < 1:
+            raise ValueError(f"worker count must be >= 1, got {explicit}")
+        return explicit
+    raw = os.environ.get(WORKERS_ENV_VAR, "1")
+    try:
+        n = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if n < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {n}")
+    return n
 
 
 def _fmt(x: float) -> str:
@@ -96,7 +118,10 @@ def _parse_expansion_label(label: str) -> ExpansionSpec:
 
 
 def _load_model(ref: str) -> VelocityModel:
-    """A model reference is a catalog name or a path to a derive JSON file."""
+    """A model reference is a catalog name or a path to a derive JSON file.
+
+    A file's model is used as given, once its weights and speeds are seen
+    to reproduce the Gaussian moments it was derived from."""
     for entry in CATALOG:
         if entry.name == ref:
             return resolve_catalog(ref)
@@ -113,7 +138,12 @@ def _load_model(ref: str) -> VelocityModel:
         if not data:
             raise UsageError(f"model file {ref} holds an empty list")
         data = data[0]
-    return VelocityModel.from_json_dict(data)
+    model = VelocityModel.from_json_dict(data)
+    residual = _moment_residual(model)
+    if not residual <= RESIDUAL_TOLERANCE:
+        raise UsageError(f"model file {ref} has moment residual {residual:.3g}, "
+                         f"above the tolerance {RESIDUAL_TOLERANCE:g}")
+    return model
 
 
 def _parse_state(text: str) -> GasState:
@@ -181,15 +211,15 @@ def cmd_sweep(args) -> int:
             ratios = RatioTuple.from_ratios(vals)
             models = solve_model(ratios)
         except ValueError:
-            models = []
-        results.append((g, models))
+            ratios, models = None, []
+        results.append((g, ratios, models))
         max_branches = max(max_branches, len(models))
     k = (q - 1) // 2
     header = ["param"]
     for b in range(max_branches):
         header.append(f"branch{b}_v2")
         header += [f"branch{b}_w{i}" for i in range(k + 1)]
-    for g, models in results:
+    for g, _, models in results:
         row: list = [float(g)]
         for b in range(max_branches):
             if b < len(models):
@@ -208,16 +238,10 @@ def cmd_sweep(args) -> int:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError as exc:
             raise UsageError(f"bad residual grid {args.residual_grid!r}") from exc
-        from ._ratpoly import eval_float
         res_rows = []
-        for g, _ in results:
-            ratio_val = 1 / g if args.inverse_grid else g
-            vals = fixed[:free] + [ratio_val] + fixed[free:]
-            try:
-                ratios = RatioTuple.from_ratios(vals)
-            except ValueError:
+        for g, ratios, _ in results:
+            if ratios is None:
                 continue
-            from .model_solver import build_polynomial
             poly = build_polynomial(ratios)
             lead = poly[-1]
             for v2 in np.linspace(lo, hi, n):
@@ -297,7 +321,6 @@ def cmd_simulate(args) -> int:
                              high_side=args.high_side, tau=args.tau,
                              steps=args.steps,
                              snapshot_interval=args.snapshot_interval)
-    worker_count(args.workers)  # checks THERMOLB_WORKERS too; a tube runs on one core
     result = run(config)
     final = result.final
     csv_text = _snapshot_csv(final.rho, final.u, final.theta)
@@ -393,8 +416,9 @@ def cmd_compare(args) -> int:
     right = GasState(rho_bar if high == "right" else 1.0, 0.0, 1.0)
     sol = solve_riemann(left, right)
     x = (np.arange(nodes) - interface) * dx
-    rho, u, theta = sample_profile(sol, x, float(steps))
-    ref = {"rho": rho, "u": u, "theta": theta, "p": rho * theta}
+    exact = Snapshot(steps, *sample_profile(sol, x, float(steps)))
+    ref = {"rho": exact.rho, "u": exact.u, "theta": exact.theta,
+           "p": exact.pressure_reported}
     got = {"rho": sim[:, 1], "u": sim[:, 2], "theta": sim[:, 3], "p": sim[:, 4]}
     band = max(int(p) for p in cfg["model"]["p"])
     core = slice(band + 1, nodes - band - 1)
@@ -402,23 +426,24 @@ def cmd_compare(args) -> int:
     for name in ("rho", "u", "theta", "p"):
         diff = np.abs(got[name][core] - ref[name][core])
         fields[name] = {"l1": float(np.mean(diff)), "linf": float(diff.max())}
-    probe_lo, probe_hi = args.probe_low, args.probe_high
-    plateau = {}
-    for tag, probe in (("low", probe_lo), ("high", probe_hi)):
-        w = slice(probe - 10, probe + 11)
-        plateau[tag] = {
-            name: {
-                "sim": float(np.median(got[name][w])),
-                "exact": float(np.median(ref[name][w])),
-                "diff": float(abs(np.median(got[name][w]) - np.median(ref[name][w]))),
-            } for name in ("rho", "u", "theta", "p")}
+    probes = (args.probe_low, args.probe_high)  # out of the lattice: ValueError, exit 1
+    sim_plateaus = extract_plateaus(Snapshot(steps, got["rho"], got["u"], got["theta"]),
+                                    *probes).as_dict()
+    exact_plateaus = extract_plateaus(exact, *probes).as_dict()
+    plateau = {
+        tag: {name: {"sim": sim_plateaus[name][i],
+                     "exact": exact_plateaus[name][i],
+                     "diff": abs(sim_plateaus[name][i] - exact_plateaus[name][i])}
+              for name in ("rho", "u", "theta", "p")}
+        for i, tag in enumerate(("low", "high"))}
     payload = {"fields": fields, "plateaus": plateau,
                "time": float(steps), "nodes": nodes}
     _emit_json(args.out, payload)
     if args.max_plateau_diff is not None:
-        worst = max(plateau[tag][name]["diff"]
-                    for tag in plateau for name in plateau[tag])
-        if worst > args.max_plateau_diff:
+        # np.max, unlike max(), returns NaN whenever any diff is NaN
+        worst = float(np.max([plateau[tag][name]["diff"]
+                              for tag in plateau for name in plateau[tag]]))
+        if not worst <= args.max_plateau_diff:
             print(f"expectation violated: plateau diff {worst} exceeds "
                   f"{args.max_plateau_diff}", file=sys.stderr)
             return EXIT_EXPECTATION
@@ -435,7 +460,7 @@ def cmd_stability_scan(args) -> int:
     rho_bars = [float(t) for t in args.rho_bars.split(",") if t.strip()]
     taus = [float(t) for t in args.taus.split(",") if t.strip()]
     entries = stability_scan(models, specs, rho_bars, taus, steps=args.steps,
-                             nodes=args.nodes, workers=args.workers)
+                             nodes=args.nodes)
     rows = [[e.model_name, e.expansion, e.rho_bar, e.tau, int(e.stable),
              e.failure_step if e.failure_step is not None else -1,
              e.failure_mode or "", e.fluctuation, e.steps] for e in entries]
@@ -585,8 +610,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses code 2 for usage errors; remap to our convention
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if hasattr(args, "workers") and args.workers is not None:
-            worker_count(args.workers)  # validate early
+        if hasattr(args, "workers"):  # simulate and stability-scan
+            worker_count(args.workers)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,14 +73,6 @@ class EquilibriumPolynomial:
     def v_degree(self) -> int:
         return max(k[0] for k in self.terms)
 
-    def coefficient(self, v_pow: int, u_pow: int, t_pow: int) -> Fraction:
-        return self.terms.get((v_pow, u_pow, t_pow), Fraction(0))
-
-    def evaluate(self, v: float, u: float, theta: float) -> float:
-        t = theta - float(self.spec.theta0)
-        return math.fsum(float(c) * v**kv * u**ku * t**kt
-                         for (kv, ku, kt), c in sorted(self.terms.items()))
-
     def table_rows(self) -> list[tuple[int, int, int, int, int]]:
         """Sorted (v_pow, u_pow, t_pow, numerator, denominator) rows."""
         return [(kv, ku, kt, c.numerator, c.denominator)
@@ -159,18 +151,6 @@ def expand(spec: ExpansionSpec) -> EquilibriumPolynomial:
             kept = {k: c for k, c in full.items() if k[1] + 2 * k[2] <= spec.order}
         _EXPANSION_CACHE[key] = EquilibriumPolynomial(spec=spec, terms=dict(kept))
     return _EXPANSION_CACHE[key]
-
-
-def expand_te(order: int, theta0=Fraction(1)) -> EquilibriumPolynomial:
-    """Taylor-type expansion: u and theta - theta0 are independent small
-    quantities, truncated at joint order N."""
-    return expand(ExpansionSpec(KIND_TAYLOR, order, Fraction(theta0)))
-
-
-def expand_he(order: int) -> EquilibriumPolynomial:
-    """Hermite-type expansion about unit temperature: u and
-    sqrt(|theta - 1|) share one smallness order, truncated at order N."""
-    return expand(ExpansionSpec(KIND_HERMITE, order))
 
 
 def moment_accuracy(model: VelocityModel, spec: ExpansionSpec) -> int:
@@ -303,16 +283,6 @@ class DiscreteEquilibrium:
             even[1:] = minus
             out *= rho
         return out[:, 0] if scalar else out
-
-
-def evaluate_feq(model: VelocityModel, poly: EquilibriumPolynomial,
-                 rho: float, u: float, theta: float) -> np.ndarray:
-    """Equilibrium populations for one macroscopic state, shape (q,)."""
-    if rho < 0:
-        raise ValueError(f"density must be nonnegative, got {rho}")
-    if theta <= 0:
-        raise ValueError(f"temperature must be positive, got {theta}")
-    return DiscreteEquilibrium(model, poly).populations(rho, u, theta)
 
 
 @dataclass(frozen=True)

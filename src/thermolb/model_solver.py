@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import _ratpoly as rp
-from .moments import SQRT_PI, gaussian_moment_coefficient
+from .moments import (SQRT_PI, discrete_moment_coefficient,
+                      gaussian_moment_coefficient)
 
 DEFAULT_GHOST_THRESHOLD = 1e-4
 RESIDUAL_TOLERANCE = 1e-8
@@ -77,6 +77,13 @@ class RatioTuple:
         return tuple(Fraction(x, self.p[0]) for x in self.p)
 
 
+def _weight_system(ratios: RatioTuple) -> list[list[Fraction]]:
+    """A[j][i] = pbar_i**(2(j+1)): the moment rows n = 2, 4, ..., q-1 in
+    the positive-speed weights."""
+    x = [r * r for r in ratios.ratios]
+    return [[xi ** (j + 1) for xi in x] for j in range(len(x))]
+
+
 def build_polynomial(ratios: RatioTuple) -> list[int]:
     """Integer coefficients (constant first) of the model polynomial in
     s = v2**2.
@@ -87,14 +94,9 @@ def build_polynomial(ratios: RatioTuple) -> list[int]:
     polynomial of degree (q-1)/2 whose positive roots are the admissible
     squared base speeds.
     """
-    pbar = ratios.ratios
-    if len(set(pbar)) != len(pbar):
-        raise ValueError("speed ratios must be distinct")
-    k = len(pbar)
-    x = [r * r for r in pbar]
-    # A[j][i] = x_i**(j+1), rows are the moment orders n = 2(j+1)
-    a = [[xi ** (j + 1) for xi in x] for j in range(k)]
-    target = [xi ** (k + 1) for xi in x]  # ratios to the power q+1
+    k = len(ratios.p)
+    a = _weight_system(ratios)
+    target = [(r * r) ** (k + 1) for r in ratios.ratios]  # ratios to the power q+1
     a_t = [[a[j][i] for j in range(k)] for i in range(k)]
     c = rp.solve_linear(a_t, target)
     # sum_j c_j g_{j+1} s**(k-j) - g_{k+1} = 0,  g_m = (2m-1)!!/2**m
@@ -104,13 +106,6 @@ def build_polynomial(ratios: RatioTuple) -> list[int]:
         coeffs[k - j] += c[j] * gaussian_moment_coefficient(2 * (j + 1))
     ints, _ = rp.clear_denominators(coeffs)
     return ints
-
-
-def _weight_system(ratios: RatioTuple):
-    pbar = ratios.ratios
-    k = len(pbar)
-    x = [r * r for r in pbar]
-    return [[xi ** (j + 1) for xi in x] for j in range(k)]
 
 
 def _solve_weights(ratios: RatioTuple, s: Fraction) -> list[Fraction]:
@@ -218,14 +213,17 @@ class VelocityModel:
 
 def _moment_residual(model: VelocityModel) -> float:
     """Max relative defect of the even moment rows n = 0..q+1."""
-    v = model.velocities()
-    w = model.normalized_weights_full()
-    worst = 0.0
+    defects = []
     for n in range(0, model.q + 2, 2):
         target = float(gaussian_moment_coefficient(n))
-        got = math.fsum(wi * vi**n for wi, vi in zip(w, v))
-        worst = max(worst, abs(got - target) / target)
-    return worst
+        defects.append(abs(discrete_moment_coefficient(model, n) - target) / target)
+    return float(np.max(defects))  # NaN, not a smaller defect, for a NaN row
+
+
+def _finish_model(model: VelocityModel, ghost_threshold: float) -> VelocityModel:
+    """model with its moment residual and ghost flags filled in."""
+    model = replace(model, residual=_moment_residual(model))
+    return replace(model, ghost_flags=detect_ghosts(model, ghost_threshold))
 
 
 def _assemble_model(ratios: RatioTuple, s: Fraction, exact: bool,
@@ -244,8 +242,7 @@ def _assemble_model(ratios: RatioTuple, s: Fraction, exact: bool,
         s_exact=s if exact else None,
         weights_exact=wnorm_exact if exact else None,
     )
-    model = replace(model, residual=_moment_residual(model))
-    return replace(model, ghost_flags=detect_ghosts(model, ghost_threshold))
+    return _finish_model(model, ghost_threshold)
 
 
 def solve_model(ratios: RatioTuple, *,
@@ -334,8 +331,7 @@ def closed_form_q5(r) -> tuple[VelocityModel, VelocityModel]:
             ghost_flags=(False, False, False),
             all_positive=min(w0, w1, w2) >= 0,
         )
-        model = replace(model, residual=_moment_residual(model))
-        return replace(model, ghost_flags=detect_ghosts(model))
+        return _finish_model(model, DEFAULT_GHOST_THRESHOLD)
 
     return branch(+1), branch(-1)
 
@@ -351,50 +347,6 @@ def detect_ghosts(model: VelocityModel,
     if threshold < 0:
         raise ValueError(f"ghost threshold must be nonnegative, got {threshold}")
     return tuple(abs(w) < threshold for w in model.weights_normalized)
-
-
-@dataclass(frozen=True)
-class MultiDimModel:
-    """Cartesian tensor product of a 1-D model with itself.
-
-    Velocities are D-tuples, weights are products of the 1-D weights, so
-    every mixed moment factorizes into 1-D moments.
-    """
-
-    base: VelocityModel
-    dim: int
-
-    @property
-    def size(self) -> int:
-        return self.base.q ** self.dim
-
-    def velocities(self) -> np.ndarray:
-        v1 = self.base.velocities()
-        out = np.array(list(product(v1, repeat=self.dim)))
-        return out.reshape(self.size, self.dim)
-
-    def weights(self) -> np.ndarray:
-        w1 = self.base.weights()
-        out = np.ones(1)
-        for _ in range(self.dim):
-            out = np.multiply.outer(out, w1).ravel()
-        return out
-
-    def moment(self, powers: Sequence[int]) -> float:
-        """Mixed moment sum(w * prod_d v_d**powers[d]); factorized."""
-        if len(powers) != self.dim:
-            raise ValueError(f"need {self.dim} exponents, got {len(powers)}")
-        from .moments import discrete_moment
-        result = 1.0
-        for n in powers:
-            result *= discrete_moment(self.base, n)
-        return result
-
-
-def tensor_product_model(model: VelocityModel, dim: int) -> MultiDimModel:
-    if dim < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
-    return MultiDimModel(base=model, dim=dim)
 
 
 @dataclass(frozen=True)
@@ -424,13 +376,12 @@ def catalog_names() -> list[str]:
     return [e.name for e in CATALOG]
 
 
-def resolve_catalog(name: str, *,
-                    ghost_threshold: float = DEFAULT_GHOST_THRESHOLD) -> VelocityModel:
+def resolve_catalog(name: str) -> VelocityModel:
     """Re-derive a catalog model and pick the branch nearest the reference
     base speed."""
     for entry in CATALOG:
         if entry.name == name:
-            models = solve_model(entry.ratios, ghost_threshold=ghost_threshold)
+            models = solve_model(entry.ratios)
             if not models:
                 raise RuntimeError(f"catalog model {name} has no real solution")
             return min(models, key=lambda m: abs(m.v2 - entry.v2_reference))

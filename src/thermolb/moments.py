@@ -42,39 +42,6 @@ class SqrtPiRational:
     def value(self) -> float:
         return float(self.coefficient) * SQRT_PI
 
-    def __float__(self) -> float:
-        return self.value
-
-    def __add__(self, other: "SqrtPiRational") -> "SqrtPiRational":
-        return SqrtPiRational(self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "SqrtPiRational") -> "SqrtPiRational":
-        return SqrtPiRational(self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "SqrtPiRational":
-        return SqrtPiRational(-self.coefficient)
-
-    def __mul__(self, scalar) -> "SqrtPiRational":
-        if isinstance(scalar, SqrtPiRational):
-            raise TypeError("product of two sqrt(pi) multiples leaves the class")
-        return SqrtPiRational(self.coefficient * Fraction(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "SqrtPiRational":
-        if isinstance(scalar, SqrtPiRational):
-            raise TypeError("ratio of two sqrt(pi) multiples leaves the class")
-        return SqrtPiRational(self.coefficient / Fraction(scalar))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SqrtPiRational) and self.coefficient == other.coefficient
-
-    def __lt__(self, other: "SqrtPiRational") -> bool:
-        return self.coefficient < other.coefficient
-
-    def __hash__(self) -> int:
-        return hash(("SqrtPiRational", self.coefficient))
-
 
 def gaussian_moment_coefficient(n: int) -> Fraction:
     """Rational part of integral(v**n * exp(-v**2) dv, -inf..inf), i.e.
@@ -106,28 +73,6 @@ def mb_moment_exact(m: int, rho: Fraction, u: Fraction, theta: Fraction) -> Frac
     for k in range(0, m + 1, 2):
         acc += (math.comb(m, k) * u ** (m - k) * theta ** (k // 2)
                 * gaussian_moment_coefficient(k))
-    return rho * acc
-
-
-def mb_moment(m: int, rho: float, u: float, theta: float) -> float:
-    """m-th raw moment of the Maxwell-Boltzmann density, closed form.
-
-    Parameters
-    ----------
-    m : moment order (any nonnegative integer).
-    rho, u, theta : density, mean velocity, temperature; rho > 0 and
-        theta > 0 are required.
-    """
-    if rho <= 0:
-        raise ValueError(f"density must be positive, got {rho}")
-    if theta <= 0:
-        raise ValueError(f"temperature must be positive, got {theta}")
-    if m < 0:
-        raise ValueError(f"moment order must be nonnegative, got {m}")
-    acc = 0.0
-    for k in range(0, m + 1, 2):
-        acc += (math.comb(m, k) * u ** (m - k) * theta ** (k // 2)
-                * float(gaussian_moment_coefficient(k)))
     return rho * acc
 
 

@@ -89,12 +89,6 @@ class RiemannSolution:
     def theta_star_right(self) -> float:
         return 2.0 * self.p_star / self.rho_star_right
 
-    def star_left(self) -> GasState:
-        return GasState(self.rho_star_left, self.u_star, self.theta_star_left)
-
-    def star_right(self) -> GasState:
-        return GasState(self.rho_star_right, self.u_star, self.theta_star_right)
-
 
 def _pressure_function(p: float, state: GasState, gamma: float):
     """Toro-style f_K(p) and its derivative for one side."""
@@ -242,7 +236,8 @@ def sample_profile(solution: RiemannSolution, positions: np.ndarray,
         return tuple(np.where(left, getattr(solution.left, name),
                               getattr(solution.right, name))
                      for name in ("rho", "u", "theta"))
-    xi = (positions - origin) / time
+    with np.errstate(under="ignore"):  # a tiny xi rounds to its correct value
+        xi = (positions - origin) / time
     rho = np.empty_like(xi)
     u = np.empty_like(xi)
     theta = np.empty_like(xi)

@@ -15,12 +15,10 @@ Determinism: every arithmetic path is elementwise or reduces over the
 velocity axis of one node in a fixed order, so results are bit-identical
 across runs, and the equilibrium and the moments are organized over
 +/- speed pairs, so they are exactly mirror symmetric under
-(x, v, u) -> (-x, -v, -u).  Every run uses one core; the worker count is
-validated but changes no result.
+(x, v, u) -> (-x, -v, -u).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,23 +27,6 @@ import numpy as np
 from .equilibrium import DiscreteEquilibrium, ExpansionSpec, expand
 from .model_solver import VelocityModel
 from .riemann import GasState, solve_riemann
-
-WORKERS_ENV_VAR = "THERMOLB_WORKERS"
-
-
-def worker_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"worker count must be >= 1, got {explicit}")
-        return explicit
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -411,12 +392,9 @@ class ScanEntry:
 def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                    expansions: Iterable[ExpansionSpec],
                    rho_bars: Iterable[float], taus: Iterable[float] = (1.0,),
-                   steps: int | None = None, nodes: int = 1000,
-                   workers: int | None = None) -> list[ScanEntry]:
-    """Grid of shock-tube runs; one verdict row per combination, in grid
-    order.  The runs execute one after another in this process; workers
-    (explicit, or THERMOLB_WORKERS) is validated and otherwise unused."""
-    worker_count(workers)
+                   steps: int | None = None, nodes: int = 1000) -> list[ScanEntry]:
+    """Grid of shock-tube runs, one after another; one verdict row per
+    combination, in grid order."""
     expansions, rho_bars, taus = list(expansions), list(rho_bars), list(taus)
     entries = []
     for name, model in model_specs:

@@ -221,7 +221,9 @@ def test_verify_failure_uses_the_expectation_exit_code(tmp_path):
     model_file = tmp_path / "m.json"
     assert main(["derive", "--ratios", "3", "--out", str(model_file)]) == EXIT_OK
     broken = load_json(model_file)[0]
-    broken["v2"] *= 1.001  # detune the base speed; moments must drift
+    # detune the base speed: the moment residual (6e-9) stays under the
+    # load tolerance, the guaranteed moments drift by ~2e-9
+    broken["v2"] *= 1 + 1e-9
     model_file.write_text(json.dumps(broken))
     out = tmp_path / "v.json"
     assert main(["verify", "--model", str(model_file), "--kind", "hermite",
@@ -231,12 +233,21 @@ def test_verify_failure_uses_the_expectation_exit_code(tmp_path):
     assert payload["max_abs_error"] > 1e-10
 
 
-def test_model_reference_accepts_a_derive_file(tmp_path):
+def test_model_reference_accepts_a_derive_file(tmp_path, capsys):
     model_file = tmp_path / "m.json"
     assert main(["derive", "--q", "5", "--ratios", "3",
                  "--out", str(model_file)]) == EXIT_OK
     assert main(["verify", "--model", str(model_file), "--kind", "hermite",
                  "--order", "3"]) == EXIT_OK
+    # one weight off by a relative 1e-6 breaks the moment rows it was solved from
+    models = load_json(model_file)
+    models[0]["weights_normalized"][1] *= 1 + 1e-6
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(models))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(tampered), "--kind", "hermite",
+                 "--order", "3"]) == EXIT_USAGE
+    assert "moment residual" in capsys.readouterr().err
     bogus = tmp_path / "bogus.json"
     bogus.write_text("not json")
     assert main(["verify", "--model", str(bogus), "--kind", "hermite",
@@ -417,6 +428,17 @@ def test_compare_against_the_exact_solution(tmp_path, capsys):
     assert main(base + ["--max-plateau-diff", "0.05"]) == EXIT_OK
     assert main(base + ["--max-plateau-diff", "1e-9"]) == EXIT_EXPECTATION
     assert "expectation violated" in capsys.readouterr().err
+    # a probe whose +-10-node window leaves the lattice is a usage error
+    assert main(base + ["--probe-low", "3", "--max-plateau-diff", "1e-9"]) == EXIT_USAGE
+    assert main(base + ["--probe-high", "995"]) == EXIT_USAGE
+    # a NaN inside a probe window is a violation whatever the bound
+    lines = csv_path.read_text().splitlines()
+    cells = lines[1 + 430].split(",")
+    lines[1 + 430] = ",".join([cells[0], "nan", *cells[2:]])
+    with_nan = tmp_path / "nan.csv"
+    with_nan.write_text("\n".join(lines) + "\n")
+    assert main(["compare", "--sim", str(with_nan), "--manifest", str(manifest_path),
+                 "--max-plateau-diff", "1e9"]) == EXIT_EXPECTATION
     truncated = tmp_path / "short.csv"
     truncated.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
     assert main(["compare", "--sim", str(truncated),
@@ -440,8 +462,11 @@ def test_stability_scan_csv(tmp_path):
     assert int(ok[8]) == 50
 
 
-def test_stability_scan_usage_error():
+def test_stability_scan_usage_error(monkeypatch):
     assert main(["stability-scan", "--models", "q5", "--expansions", "bogus",
+                 "--rho-bars", "3"]) == EXIT_USAGE
+    monkeypatch.setenv("THERMOLB_WORKERS", "0")
+    assert main(["stability-scan", "--models", "q5", "--expansions", "hermite:3",
                  "--rho-bars", "3"]) == EXIT_USAGE
 
 

@@ -18,16 +18,12 @@ import pytest
 from thermolb import (
     DiscreteEquilibrium,
     ExpansionSpec,
-    evaluate_feq,
     expand,
-    expand_he,
-    expand_te,
-    mb_moment,
     moment_accuracy,
     truncated_mb_moment,
     verify_moments,
 )
-from thermolb.moments import gaussian_moment_coefficient
+from thermolb.moments import gaussian_moment_coefficient, mb_moment_exact
 
 # the benchmark combinations used across the suite:
 # (model fixture name, kind, order, m_max)
@@ -86,10 +82,10 @@ def test_coefficients_match_derivative_oracle(kind, orders):
 
 def test_truncation_rules():
     # TE keeps u^a t^b with a+b <= N; HE keeps a+2b <= N
-    te3 = expand_te(3)
+    te3 = expand(ExpansionSpec("taylor", 3))
     assert set((a, b) for (_, a, b) in te3.terms) <= \
         {(a, b) for a in range(7) for b in range(4) if a + b <= 3}
-    he3 = expand_he(3)
+    he3 = expand(ExpansionSpec("hermite", 3))
     for (_, a, b) in he3.terms:
         assert a + 2 * b <= 3
 
@@ -97,7 +93,7 @@ def test_truncation_rules():
 # ------------------------------------------------------------ frozen tables
 
 def test_te1_exact_table():
-    poly = expand_te(1)
+    poly = expand(ExpansionSpec("taylor", 1))
     assert dict(poly.terms) == {
         (0, 0, 0): Fraction(1),
         (0, 0, 1): Fraction(-1, 2),
@@ -107,7 +103,7 @@ def test_te1_exact_table():
 
 
 def test_he2_exact_table():
-    poly = expand_he(2)
+    poly = expand(ExpansionSpec("hermite", 2))
     assert dict(poly.terms) == {
         (0, 0, 0): Fraction(1),
         (0, 0, 1): Fraction(-1, 2),
@@ -120,15 +116,15 @@ def test_he2_exact_table():
 
 def test_degree_bounds():
     for n in range(1, 6):
-        assert expand_te(n).v_degree <= 2 * n
+        assert expand(ExpansionSpec("taylor", n)).v_degree <= 2 * n
     for n in range(1, 11):
-        assert expand_he(n).v_degree <= n
+        assert expand(ExpansionSpec("hermite", n)).v_degree <= n
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_he_2n_contains_te_n(n):
-    te = expand_te(n)
-    he = expand_he(2 * n)
+    te = expand(ExpansionSpec("taylor", n))
+    he = expand(ExpansionSpec("hermite", 2 * n))
     for key, coef in te.terms.items():
         assert he.terms.get(key) == coef, key
 
@@ -208,7 +204,7 @@ def test_guarantee_is_sharp(q5):
 
 def test_truncated_moment_converges_to_exact():
     rho, u, theta = 1.0, 0.2, 1.2
-    exact = mb_moment(2, rho, u, theta)
+    exact = float(mb_moment_exact(2, Fraction(rho), Fraction(u), Fraction(theta)))
     err = [abs(truncated_mb_moment(2, ExpansionSpec(kind="taylor", order=n),
                                    rho, u, theta) - exact)
            for n in (1, 2, 4, 8)]
@@ -248,20 +244,12 @@ def test_populations_mirror_bitwise(q7):
 
 
 def test_evaluate_feq_agrees_with_populations(q5):
-    poly = expand(ExpansionSpec(kind="hermite", order=3))
-    deq = DiscreteEquilibrium(q5, poly)
-    got = evaluate_feq(q5, poly, 2.5, 0.1, 0.95)
+    # one scalar state gives the (q,) column of the array evaluation
+    deq = DiscreteEquilibrium(q5, expand(ExpansionSpec(kind="hermite", order=3)))
+    got = deq.populations(2.5, 0.1, 0.95)
     want = deq.populations(np.array([2.5]), np.array([0.1]),
                            np.array([0.95]))[:, 0]
     np.testing.assert_array_equal(got, want)
-
-
-def test_evaluate_feq_validation(q5):
-    poly = expand(ExpansionSpec(kind="hermite", order=3))
-    with pytest.raises(ValueError):
-        evaluate_feq(q5, poly, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        evaluate_feq(q5, poly, 1.0, 0.0, 0.0)
 
 
 def test_discrete_equilibrium_requires_unit_base_temperature(q5):

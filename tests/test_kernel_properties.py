@@ -2,12 +2,13 @@
 
 Hypothesis draws per-node (rho, u, theta) with rho > 0 and theta > 0, a
 catalog model and an expansion.  Exact properties (mirror symmetry, the
-tau = 1 shortcut) are checked bitwise; conservation by collision is
-checked to rounding.  The reference step below is the plain update rule:
-the relaxation formula for every tau, np.roll streaming, the band
-columns, then the pair-organized moments.
+tau = 1 shortcut) are checked bitwise; conservation by collision and the
+moment-accuracy guarantee are checked to rounding.  The reference step
+below is the plain update rule: the relaxation formula for every tau,
+np.roll streaming, the band columns, then the pair-organized moments.
 """
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from thermolb import (CATALOG, ExpansionSpec, ShockTubeConfig, init_shock_tube,
-                      moment_accuracy, resolve_catalog, step)
+from thermolb import (CATALOG, ExpansionSpec, ShockTubeConfig, expand,
+                      init_shock_tube, moment_accuracy, resolve_catalog, step,
+                      verify_moments)
 
 MODELS = [entry.name for entry in CATALOG]
 EXPANSIONS = [ExpansionSpec("hermite", 3), ExpansionSpec("taylor", 3),
@@ -131,3 +133,32 @@ def test_one_step_of_a_mirrored_state_is_the_exact_mirror(name, spec, tau, draw)
                       (mirrored.rho, state.rho[::-1]), (mirrored.u, -state.u[::-1]),
                       (mirrored.theta, state.theta[::-1])):
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def term_scale(m, model, poly, rho, u, theta):
+    """Sum of |term| over the terms of sum_i v_i**m f_i^eq: the size that
+    the rounding error of either side of the moment check scales with."""
+    t = theta - 1.0
+    return rho * math.fsum(
+        abs(w * float(c) * v ** (m + kv) * u ** ku * t ** kt)
+        for v, w in zip(model.velocities().tolist(),
+                        model.normalized_weights_full().tolist())
+        for (kv, ku, kt), c in poly.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(MODELS), spec=st.sampled_from(EXPANSIONS),
+       rho=st.floats(0.1, 10.0), u=st.floats(-0.5, 0.5), theta=st.floats(0.5, 1.5))
+def test_guaranteed_moments_hold_at_random_subsonic_states(name, spec, rho, u, theta):
+    # every moment m <= moment_accuracy of the discrete equilibrium equals
+    # that of the truncated Maxwell-Boltzmann density (Shan, Yuan & Chen,
+    # J. Fluid Mech. 2006); |u| <= 0.5 stays below the slowest sound speed
+    m = model(name)
+    m_max = moment_accuracy(m, spec)
+    assume(m_max >= 0)
+    poly = expand(spec)
+    tolerance = 1e-12 * max(term_scale(k, m, poly, rho, u, theta)
+                            for k in range(m_max + 1))
+    report = verify_moments(m, poly, samples=[(rho, u, theta)], tolerance=tolerance)
+    assert report.m_max == m_max and len(report.checks) == m_max + 1
+    assert report.passed, (report.max_abs_error, tolerance)

@@ -27,7 +27,6 @@ from thermolb import (
     gaussian_moment,
     resolve_catalog,
     solve_model,
-    tensor_product_model,
 )
 from thermolb import _ratpoly as rp
 from thermolb.model_solver import CATALOG, catalog_names
@@ -300,27 +299,6 @@ def test_model_json_roundtrip(q7):
     assert back.ratios == q7.ratios
     assert back.v2 == q7.v2
     assert back.weights_normalized == q7.weights_normalized
-
-
-# ---------------------------------------------------------- tensor products
-
-def test_tensor_product_moments_factorize(q5):
-    model2 = tensor_product_model(q5, 2)
-    w = model2.weights()
-    v = model2.velocities()
-    assert v.shape == (25, 2)
-    assert math.fsum(w / math.pi) == pytest.approx(1.0, abs=1e-13)
-    # mixed moment <vx^2 vy^2> = Xi(2)^2, by separability
-    got = float(np.dot(w, v[:, 0] ** 2 * v[:, 1] ** 2))
-    want = gaussian_moment(2).value ** 2
-    assert got == pytest.approx(want, rel=1e-12)
-    # odd mixed moments vanish exactly
-    assert float(np.dot(w, v[:, 0] * v[:, 1] ** 2)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_tensor_product_3d_count(q3):
-    model3 = tensor_product_model(q3, 3)
-    assert model3.velocities().shape == (27, 3)
 
 
 # -------------------------------------------------------------- exact rpoly

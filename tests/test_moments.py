@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from thermolb import SqrtPiRational, discrete_moment, gaussian_moment, mb_moment
+from thermolb import discrete_moment, gaussian_moment
 from thermolb.moments import (
-    SQRT_PI,
     double_factorial,
     gaussian_moment_coefficient,
     mb_moment_exact,
@@ -87,37 +86,22 @@ def test_gaussian_moment_rejects_negative():
         gaussian_moment(-2)
 
 
-# --------------------------------------------------------- SqrtPiRational
-
-def test_sqrtpi_rational_arithmetic():
-    a = SqrtPiRational(Fraction(1, 2))
-    b = SqrtPiRational(Fraction(1, 3))
-    assert (a + b).coefficient == Fraction(5, 6)
-    assert (a - b).coefficient == Fraction(1, 6)
-    assert (a * 2).coefficient == 1
-    assert (a / 2).coefficient == Fraction(1, 4)
-    assert a.value == pytest.approx(SQRT_PI / 2, rel=1e-15)
-    assert b < a
-    assert a == SqrtPiRational(Fraction(1, 2))
-
-
 # -------------------------------------------------------------- MB moments
 
 @pytest.mark.parametrize("m", range(0, 9))
 @pytest.mark.parametrize("u,theta", [(0.0, 1.0), (0.3, 0.8), (-0.7, 1.9)])
 def test_mb_moment_matches_quadrature(m, u, theta):
-    got = mb_moment(m, 1.7, u, theta)
+    got = float(mb_moment_exact(m, Fraction(1.7), Fraction(u), Fraction(theta)))
     want = quad_mb_moment(m, 1.7, u, theta)
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_mb_moment_low_orders():
-    rho, u, theta = 2.0, 0.25, 1.3
-    assert mb_moment(0, rho, u, theta) == pytest.approx(rho, rel=1e-14)
-    assert mb_moment(1, rho, u, theta) == pytest.approx(rho * u, rel=1e-14)
+    rho, u, theta = Fraction(2), Fraction(1, 4), Fraction(13, 10)
+    assert mb_moment_exact(0, rho, u, theta) == rho
+    assert mb_moment_exact(1, rho, u, theta) == rho * u
     # <v^2> = u^2 + theta/2 in these units
-    assert mb_moment(2, rho, u, theta) == pytest.approx(
-        rho * (u**2 + theta / 2), rel=1e-14)
+    assert mb_moment_exact(2, rho, u, theta) == rho * (u**2 + theta / 2)
 
 
 @given(m=st.integers(min_value=0, max_value=14),
@@ -139,13 +123,6 @@ def test_mb_moment_exact_at_rest_reduces_to_gaussian():
     for m in range(0, 12, 2):
         assert mb_moment_exact(m, Fraction(1), Fraction(0), Fraction(1)) == \
             gaussian_moment_coefficient(m)
-
-
-def test_mb_moment_validates_inputs():
-    with pytest.raises(ValueError):
-        mb_moment(2, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        mb_moment(2, 1.0, 0.0, 0.0)
 
 
 # -------------------------------------------- discrete quadrature (Xi match)

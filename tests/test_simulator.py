@@ -6,7 +6,7 @@ streaming is a whole-node shift, and the boundary bands are rewritten
 with fixed equilibria.  The tests below check each piece against that
 description (exact where exactness is promised, fsum budgets for the
 conservation accounting) plus the determinism contract: bit-identical
-results across runs and scan worker counts, and under mirror reflection.
+results across runs and `--workers` counts, and under mirror reflection.
 """
 import math
 from dataclasses import replace
@@ -14,9 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermolb.cli import EXIT_OK, WORKERS_ENV_VAR, main, worker_count
 from thermolb.equilibrium import ExpansionSpec
 from thermolb.simulator import (
-    WORKERS_ENV_VAR,
     LatticeState,
     ShockTubeConfig,
     Snapshot,
@@ -29,7 +29,6 @@ from thermolb.simulator import (
     run,
     stability_scan,
     step,
-    worker_count,
 )
 
 TE2 = ExpansionSpec("taylor", 2)
@@ -196,13 +195,20 @@ def test_mirror_configurations_give_bitwise_mirror_fields(q5):
     assert np.array_equal(high.u, -low.u[::-1])
 
 
-def test_worker_count_does_not_change_any_bit(q5):
+def test_worker_count_does_not_change_any_bit(tmp_path, monkeypatch):
     # the worker count is validated and changes nothing: the rows, their
     # order and every float in them match
-    args = ([("5", q5)], [TE2, HE3], [3.0, 4.0], (1.0, 0.8))
-    base = stability_scan(*args, steps=40, workers=1)
-    assert len(base) == 8 and {e.stable for e in base} == {True, False}
-    assert stability_scan(*args, steps=40, workers=2) == base
+    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    out = {}
+    for workers in ("1", "2"):
+        out[workers] = tmp_path / f"scan{workers}.csv"
+        assert main(["stability-scan", "--models", "q5", "--expansions",
+                     "taylor:2,hermite:3", "--rho-bars", "3,4", "--taus", "1,0.8",
+                     "--steps", "40", "--workers", workers,
+                     "--out", str(out[workers])]) == EXIT_OK
+    rows = out["1"].read_text().splitlines()[1:]
+    assert len(rows) == 8 and {row.split(",")[4] for row in rows} == {"0", "1"}
+    assert out["2"].read_bytes() == out["1"].read_bytes()
 
 
 def test_worker_count_resolution(monkeypatch):
