@@ -1,10 +1,14 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Polynomials are dense coefficient lists with the constant term first.
-Everything in this module is exact (``fractions.Fraction``); floating
-point never enters until the caller converts a result.  The degrees we
-care about are tiny (at most (q-1)/2 for a q-velocity model), so
-simplicity wins over asymptotics throughout.
+Everything in this module is exact (``fractions.Fraction`` or plain
+``int``); floating point never enters until the caller converts a result.
+The degrees are tiny (at most (q-1)/2 for a q-velocity model), so the
+polynomial algebra (division, gcd, Sturm chains) stays in Fractions.  The
+loops that evaluate signs at many points (Sturm counts, the isolation
+splits, root refinement) instead evaluate the integer form of a polynomial
+with a homogeneous Horner sum at x = n/d, and the rational-root search
+tests only candidates that pass the divisibility filters.
 """
 from __future__ import annotations
 
@@ -37,6 +41,26 @@ def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def int_form(p: Sequence) -> list[int]:
+    """p times the lcm of its denominators: integer coefficients, and the
+    same sign as p everywhere (the factor is positive)."""
+    scale = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (scale // c.denominator) for c in p]
+
+
+def sign_at(ints: Sequence[int], n: int, d: int) -> int:
+    """Sign (-1, 0, 1) of a polynomial at x = n/d, d > 0.
+
+    Homogeneous Horner: sum_i a_i n**i d**(deg-i) = d**deg p(n/d) has the
+    sign of p(n/d) and stays in integers for integer coefficients."""
+    acc = 0
+    dk = 1
+    for c in reversed(ints):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def eval_float(p: Sequence, x: float) -> float:
@@ -104,26 +128,25 @@ def deflate(p: Sequence[Fraction], root: Fraction) -> Poly:
     return q
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[Poly]:
+def sturm_chain(p: Sequence[Fraction]) -> list[list[int]]:
+    """Sturm sequence of p, each member in its integer form (a positive
+    multiple, so every sign and sign count is that of the true chain)."""
     chain = [trim(p), derivative(p)]
     while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
         _, r = divmod_poly(chain[-2], chain[-1])
         if is_zero(r):
             break
         chain.append([-c for c in r])
-    return [c for c in chain if not is_zero(c)]
+    return [int_form(c) for c in chain if not is_zero(c)]
 
 
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = eval_at(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
+    signs = [s for s in (sign_at(p, n, d) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the half-open interval (a, b]."""
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
@@ -166,39 +189,55 @@ def _small_divisors(n: int, limit: int = 200) -> list[int] | None:
 
 
 def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """Exact rational roots of p, found cheaply (degree <= 2, or guarded
-    rational-root-theorem enumeration).  May miss rational roots of high
-    degree polynomials with huge coefficients; callers treat this as an
-    opportunistic exactness upgrade, not a completeness guarantee."""
+    """Exact positive rational roots of p, sorted, found cheaply.
+
+    Degree <= 2 is solved directly.  Above that the rational root theorem
+    runs on the primitive integer form P (zero roots stripped): a root n/d
+    in lowest terms has n | P(0) and d | lead(P).  Only lowest-terms
+    candidates below the Cauchy bound of P are considered, and only those
+    with (d - n) | P(1) and (d + n) | P(-1) (P = (d x - n) Q with integer Q)
+    are tested with ``eval_at``.  The enumeration is skipped when either
+    end coefficient exceeds 1e12 or has more than 200 divisors, so rational
+    roots of high-degree polynomials with huge coefficients may be missed;
+    callers treat this as an opportunistic exactness upgrade, not a
+    completeness guarantee."""
     p = trim(p)
     d = degree(p)
     if d <= 0:
         return []
     if d == 1:
-        return [-p[0] / p[1]]
+        root = -p[0] / p[1]
+        return [root] if root > 0 else []
     if d == 2:
         c, b, a = p[0], p[1], p[2]
         disc = b * b - 4 * a * c
         r = _fraction_sqrt(disc)
         if r is None:
             return []
-        return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)})
-    # rational root theorem on the primitive integer form
+        return sorted(x for x in {(-b + r) / (2 * a), (-b - r) / (2 * a)} if x > 0)
     ints, _ = clear_denominators(p)
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # zero roots handled by caller
-    if not ints:
-        return []
+    while ints[0] == 0:
+        ints = ints[1:]  # zero roots handled by caller; ints[-1] != 0
     nums = _small_divisors(ints[0])
     dens = _small_divisors(ints[-1])
     if nums is None or dens is None:
         return []
-    roots = set()
+    lead = ints[-1]  # positive
+    bound = lead + max((abs(c) for c in ints[:-1]), default=0)  # Cauchy bound * lead
+    at_one = sum(ints)
+    at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
+    roots = []
     for n in nums:
         for dd in dens:
-            for cand in (Fraction(n, dd), Fraction(-n, dd)):
-                if eval_at(p, cand) == 0:
-                    roots.add(cand)
+            if math.gcd(n, dd) != 1 or n * lead >= dd * bound:
+                continue
+            # P = (dd x - n) Q with integer Q: dd - n divides P(1) (and 0
+            # divides only 0), dd + n divides P(-1)
+            if (at_one % (dd - n) if dd != n else at_one) or at_minus_one % (dd + n):
+                continue
+            cand = Fraction(n, dd)
+            if eval_at(p, cand) == 0:
+                roots.append(cand)
     return sorted(roots)
 
 
@@ -214,11 +253,9 @@ def isolate_positive_roots(p: Sequence[Fraction]):
     # strip roots at s = 0
     while sf[0] == 0 and len(sf) > 1:
         sf = sf[1:]
-    exact: list[Fraction] = []
-    for r in exact_rational_roots(sf):
-        if r > 0:
-            exact.append(r)
-            sf = deflate(sf, r)
+    exact = exact_rational_roots(sf)
+    for r in exact:
+        sf = deflate(sf, r)
     intervals: list[tuple[Fraction, Fraction]] = []
     if degree(sf) >= 1:
         # isolation by Sturm counts on (0, B]; restart whenever a split
@@ -227,6 +264,7 @@ def isolate_positive_roots(p: Sequence[Fraction]):
             restart = False
             intervals.clear()
             chain = sturm_chain(sf)
+            ints = chain[0]  # integer form of sf
             bound = cauchy_bound(sf)
             stack = [(Fraction(0), bound)]
             while stack:
@@ -234,11 +272,12 @@ def isolate_positive_roots(p: Sequence[Fraction]):
                 n = count_roots(chain, lo, hi)
                 if n == 0:
                     continue
-                if n == 1 and eval_at(sf, lo) * eval_at(sf, hi) < 0:
+                if n == 1 and (sign_at(ints, lo.numerator, lo.denominator)
+                               * sign_at(ints, hi.numerator, hi.denominator) < 0):
                     intervals.append((lo, hi))
                     continue
                 mid = (lo + hi) / 2
-                if eval_at(sf, mid) == 0:
+                if sign_at(ints, mid.numerator, mid.denominator) == 0:
                     exact.append(mid)
                     sf = deflate(sf, mid)
                     restart = True
@@ -256,25 +295,32 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
     """Bisect a sign-change bracket down to ~2**-rel_bits relative width.
 
     Exact arithmetic: the returned Fraction midpoint carries no rounding
-    error beyond the final interval width.
+    error beyond the final interval width.  The bracket is kept as integer
+    numerators a < b over a common denominator den that doubles at each
+    step, and every sign is exact, so the bisection visits the same
+    midpoints as one done in Fractions.
     """
-    flo = eval_at(p, lo)
-    if flo == 0:
+    ints = int_form(p)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    sign_lo = sign_at(ints, a, den)
+    if sign_lo == 0:
         return lo
-    if eval_at(p, hi) == 0:
+    if sign_at(ints, b, den) == 0:
         return hi
-    neg_lo = flo < 0
-    tol = Fraction(1, 2**rel_bits)
-    while (hi - lo) > hi * tol:
-        mid = (lo + hi) / 2
-        fm = eval_at(p, mid)
-        if fm == 0:
-            return mid
-        if (fm < 0) == neg_lo:
-            lo = mid
+    scale = 1 << rel_bits
+    while (b - a) * scale > b:  # (hi - lo) > hi * 2**-rel_bits, times den
+        mid = a + b  # over 2 * den
+        den *= 2
+        sign_mid = sign_at(ints, mid, den)
+        if sign_mid == 0:
+            return Fraction(mid, den)
+        if sign_mid == sign_lo:
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return (lo + hi) / 2
+            a, b = 2 * a, mid
+    return Fraction(a + b, 2 * den)
 
 
 def clear_denominators(p: Sequence[Fraction]):

@@ -138,7 +138,15 @@ def _load_model(ref: str) -> VelocityModel:
         if not data:
             raise UsageError(f"model file {ref} holds an empty list")
         data = data[0]
-    model = VelocityModel.from_json_dict(data)
+    try:
+        model = VelocityModel.from_json_dict(data)
+    except KeyError as exc:
+        raise UsageError(f"model file {ref} has no {exc} entry") from exc
+    except (TypeError, IndexError, ZeroDivisionError) as exc:
+        raise UsageError(f"model file {ref} is not a derive model: {exc}") from exc
+    if len(model.weights_normalized) != len(model.ratios.p) + 1:
+        raise UsageError(f"model file {ref} has {len(model.weights_normalized)} weights "
+                         f"for {len(model.ratios.p) + 1} speeds")
     residual = _moment_residual(model)
     if not residual <= RESIDUAL_TOLERANCE:
         raise UsageError(f"model file {ref} has moment residual {residual:.3g}, "
@@ -405,13 +413,22 @@ def _read_snapshot_csv(path: str):
 def cmd_compare(args) -> int:
     sim = _read_snapshot_csv(args.sim)
     manifest = json.loads(Path(args.manifest).read_text())
-    cfg = manifest["config"]
-    nodes, interface, dx = cfg["nodes"], cfg["interface"], cfg["dx"]
-    steps = manifest.get("final_step", cfg["steps"])
+    try:
+        cfg = manifest["config"]
+        nodes, interface, dx = cfg["nodes"], cfg["interface"], cfg["dx"]
+        steps = manifest.get("final_step", cfg["steps"])
+        rho_bar, high = cfg["rho_bar"], cfg["high_side"]
+        band = max(int(p) for p in cfg["model"]["p"])
+    except KeyError as exc:
+        raise UsageError(f"manifest {args.manifest} has no {exc} entry") from exc
+    except TypeError as exc:
+        raise UsageError(f"manifest {args.manifest} is not a simulate manifest: {exc}") from exc
     if len(sim) != nodes:
         raise UsageError(
             f"snapshot has {len(sim)} rows but the manifest says {nodes} nodes")
-    rho_bar, high = cfg["rho_bar"], cfg["high_side"]
+    if hashlib.sha256(Path(args.sim).read_bytes()).hexdigest() != manifest.get("output_sha256"):
+        print(f"warning: {args.sim} is not the snapshot whose output_sha256 "
+              f"{args.manifest} records", file=sys.stderr)
     left = GasState(rho_bar if high == "left" else 1.0, 0.0, 1.0)
     right = GasState(rho_bar if high == "right" else 1.0, 0.0, 1.0)
     sol = solve_riemann(left, right)
@@ -420,7 +437,6 @@ def cmd_compare(args) -> int:
     ref = {"rho": exact.rho, "u": exact.u, "theta": exact.theta,
            "p": exact.pressure_reported}
     got = {"rho": sim[:, 1], "u": sim[:, 2], "theta": sim[:, 3], "p": sim[:, 4]}
-    band = max(int(p) for p in cfg["model"]["p"])
     core = slice(band + 1, nodes - band - 1)
     fields = {}
     for name in ("rho", "u", "theta", "p"):

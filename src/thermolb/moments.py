@@ -89,12 +89,3 @@ def discrete_moment(model: "VelocityModel", n: int) -> float:
     w = model.weights()
     return math.fsum(wi * vi**n for wi, vi in zip(w, v))
 
-
-def discrete_moment_coefficient(model: "VelocityModel", n: int) -> float:
-    """Same as discrete_moment but in normalized-weight units (divided by
-    sqrt(pi)); compares directly against gaussian_moment_coefficient."""
-    if n < 0:
-        raise ValueError(f"moment order must be nonnegative, got {n}")
-    v = model.velocities()
-    w = model.normalized_weights_full()
-    return math.fsum(wi * vi**n for wi, vi in zip(w, v))

@@ -256,6 +256,24 @@ def test_model_reference_accepts_a_derive_file(tmp_path, capsys):
                  "--order", "3"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("weights_normalized"), "no 'weights_normalized' entry"),
+    (lambda m: m["weights_normalized"].pop(), "2 weights for 3 speeds"),
+    (lambda m: m.update(s_exact=[1]), "not a derive model"),
+], ids=["missing-weights", "too-few-weights", "short-s-exact"])
+def test_misshapen_model_file_is_a_usage_error(tmp_path, capsys, edit, message):
+    model_file = tmp_path / "m.json"
+    assert main(["derive", "--q", "5", "--ratios", "3", "--out", str(model_file)]) == EXIT_OK
+    models = load_json(model_file)
+    edit(models[0])
+    model_file.write_text(json.dumps(models))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(model_file), "--kind", "hermite",
+                 "--order", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -443,6 +461,47 @@ def test_compare_against_the_exact_solution(tmp_path, capsys):
     truncated.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
     assert main(["compare", "--sim", str(truncated),
                  "--manifest", str(manifest_path)]) == EXIT_USAGE
+
+
+def test_compare_warns_when_the_csv_is_not_the_one_the_manifest_records(tmp_path, capsys):
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "60")
+    assert main(argv) == EXIT_OK
+    base = ["compare", "--manifest", str(manifest_path), "--max-plateau-diff", "1e9"]
+    capsys.readouterr()
+    assert main(base + ["--sim", str(csv_path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = csv_path.read_text().splitlines()
+    cells = lines[1 + 430].split(",")
+    lines[1 + 430] = ",".join([cells[0], "nan", *cells[2:]])
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join(lines) + "\n")
+    assert main(base + ["--sim", str(edited)]) == EXIT_EXPECTATION
+    out, err = capsys.readouterr()
+    assert err.startswith("warning: ") and "output_sha256" in err
+    assert "expectation violated" in err
+    # exit code and stdout are those of a manifest that does record the edit
+    manifest = load_json(manifest_path)
+    manifest["output_sha256"] = hashlib.sha256(edited.read_bytes()).hexdigest()
+    matching = tmp_path / "matching.json"
+    matching.write_text(json.dumps(manifest))
+    assert main(["compare", "--manifest", str(matching), "--max-plateau-diff", "1e9",
+                 "--sim", str(edited)]) == EXIT_EXPECTATION
+    out_matching, err = capsys.readouterr()
+    assert out_matching == out and "warning" not in err
+
+
+@pytest.mark.parametrize("manifest", [{}, {"config": {"nodes": 1000}}, [1, 2], "x"],
+                         ids=["empty", "partial-config", "list", "string"])
+def test_compare_with_a_misshapen_manifest_is_a_usage_error(tmp_path, capsys, manifest):
+    csv_path = tmp_path / "s.csv"
+    csv_path.write_text(_snapshot_csv(np.ones(4), np.zeros(4), np.ones(4)))
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["compare", "--sim", str(csv_path),
+                 "--manifest", str(manifest_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: manifest ")
 
 
 # --------------------------------------------------------- stability-scan

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -385,3 +385,161 @@ def test_isolation_finds_every_planted_positive_root(shifts):
     assert len(got) == len(want)
     for g, w in zip(sorted(got), want):
         assert abs(g - w) < Fraction(1, 10**20)
+
+
+# ------------------------------------- _ratpoly against Fraction references
+#
+# The references are the plain Fraction algorithms the integer versions
+# replaced: the full +-n/d rational-root enumeration, Fraction bisection
+# and Fraction Sturm sign counts.  The integer versions must agree with
+# them exactly, not approximately.
+
+def _reference_divisors(n, limit=200):
+    n = abs(n)
+    if n == 0 or n > 10**12:
+        return None
+    divs = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            divs.append(i)
+            if i != n // i:
+                divs.append(n // i)
+            if len(divs) > limit:
+                return None
+        i += 1
+    return divs
+
+
+def _reference_rational_roots(p):
+    """All rational roots the guarded enumeration finds, of either sign."""
+    p = rp.trim(p)
+    d = rp.degree(p)
+    if d <= 0:
+        return []
+    if d == 1:
+        return [-p[0] / p[1]]
+    if d == 2:
+        c, b, a = p[0], p[1], p[2]
+        r = rp._fraction_sqrt(b * b - 4 * a * c)
+        if r is None:
+            return []
+        return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)})
+    ints, _ = rp.clear_denominators(p)
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+    nums = _reference_divisors(ints[0])
+    dens = _reference_divisors(ints[-1])
+    if nums is None or dens is None:
+        return []
+    roots = set()
+    for n in nums:
+        for dd in dens:
+            for cand in (Fraction(n, dd), Fraction(-n, dd)):
+                if rp.eval_at(p, cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _reference_refine(p, lo, hi, rel_bits=110):
+    flo = rp.eval_at(p, lo)
+    if flo == 0:
+        return lo
+    if rp.eval_at(p, hi) == 0:
+        return hi
+    tol = Fraction(1, 2**rel_bits)
+    while (hi - lo) > hi * tol:
+        mid = (lo + hi) / 2
+        fm = rp.eval_at(p, mid)
+        if fm == 0:
+            return mid
+        if (fm < 0) == (flo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _reference_count(p, a, b):
+    chain = [rp.trim(p), rp.derivative(p)]
+    while not rp.is_zero(chain[-1]) and rp.degree(chain[-1]) > 0:
+        _, r = rp.divmod_poly(chain[-2], chain[-1])
+        if rp.is_zero(r):
+            break
+        chain.append([-c for c in r])
+    chain = [c for c in chain if not rp.is_zero(c)]
+
+    def variations(x):
+        signs = [v > 0 for v in (rp.eval_at(c, x) for c in chain) if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(a) - variations(b)
+
+
+# end coefficients at the 1e12 guard: primes just below it, 10**12 itself
+# (169 divisors), and numbers with more than 200 divisors
+_GUARD_CONSTANTS = [999_999_999_989, 999_999_000_001, 10**12, 963_761_198_400,
+                    735_134_400, 720_720, 997_920]
+
+
+@st.composite
+def planted_polynomials(draw):
+    """(coefficients, planted roots): Fraction coefficients (constant first)
+    of degree 3..8 with planted rational roots n/d, some negative, zero or
+    repeated."""
+    degree = draw(st.integers(3, 8))
+    planted = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 16)),
+                            max_size=degree))
+    planted += draw(st.lists(st.sampled_from(planted), max_size=2)) if planted else []
+    planted = planted[:degree]
+    rest = degree - len(planted)
+    cofactor = draw(st.lists(st.integers(-50, 50), min_size=rest + 1, max_size=rest + 1))
+    cofactor[-1] = cofactor[-1] or 1
+    if draw(st.integers(0, 4)) == 0:
+        cofactor[0] = draw(st.sampled_from(_GUARD_CONSTANTS)) * (-1) ** draw(st.integers(0, 1))
+    if draw(st.integers(0, 4)) == 0:
+        cofactor[-1] = draw(st.sampled_from(_GUARD_CONSTANTS))
+    poly = [Fraction(c) for c in cofactor]
+    for n, d in planted:  # times (d x - n)
+        poly = [a * d - b * n for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    scale = draw(st.sampled_from([Fraction(1), Fraction(-3), Fraction(1, 7), Fraction(5, 12)]))
+    return [c * scale for c in poly], [Fraction(n, d) for n, d in planted]
+
+
+@given(planted_polynomials())
+@example(([Fraction(c) for c in (-2, -1, -1, 1)], [Fraction(2)]))  # root at max|a_i| / lead
+@example(([Fraction(c) for c in (-3, -1, -1, 2)], [Fraction(3, 2)]))  # (2x - 3)(x**2 + x + 1)
+@settings(max_examples=50, deadline=None)
+def test_exact_rational_roots_equal_the_positive_part_of_full_enumeration(planted):
+    poly, _ = planted
+    want = [r for r in _reference_rational_roots(poly) if r > 0]
+    assert rp.exact_rational_roots(poly) == want
+
+
+@given(planted_polynomials(), st.lists(st.fractions(Fraction(0), Fraction(50), max_denominator=1000),
+                                       min_size=2, max_size=2, unique=True),
+       st.sampled_from([8, 40, 110]))
+@settings(max_examples=60, deadline=None)
+def test_refine_root_equals_fraction_bisection_bit_for_bit(planted, ends, rel_bits):
+    poly, _ = planted
+    lo, hi = sorted(ends)
+    assert rp.refine_root(poly, lo, hi, rel_bits) == _reference_refine(poly, lo, hi, rel_bits)
+    sf = rp.square_free_part(poly)
+    while sf[0] == 0:
+        sf = sf[1:]
+    _, intervals = rp.isolate_positive_roots(sf)
+    for lo, hi in intervals:
+        assert rp.refine_root(poly, lo, hi) == _reference_refine(poly, lo, hi)
+
+
+@given(planted_polynomials(), st.lists(st.fractions(Fraction(-60), Fraction(60), max_denominator=64),
+                                       min_size=2, max_size=2, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_count_roots_equals_the_fraction_sturm_count(planted, ends):
+    poly, roots = planted
+    a, b = sorted(ends)
+    chain = rp.sturm_chain(poly)
+    assert rp.count_roots(chain, a, b) == _reference_count(poly, a, b)
+    # planted roots themselves, where chain members vanish
+    for r in roots:
+        assert rp.count_roots(chain, r - 1, r) == _reference_count(poly, r - 1, r)
