@@ -1,11 +1,13 @@
-"""Golden bytes of the solver commands.
+"""Golden bytes of the solver and simulator commands.
 
 Each case runs one CLI invocation in a fresh directory and compares the
 sha256 of everything it writes (stdout and output files) with a digest
-recorded from an earlier release of the solver.  The solver is exact up
-to its final float conversion, so any rewrite of the root finding or the
-weight solve must reproduce these bytes; a changed digest means changed
-output, not noise.
+recorded from an earlier release.  The solver is exact up to its final
+float conversion, so any rewrite of the root finding or the weight solve
+must reproduce these bytes.  The simulator's float operations per node
+are fixed, so any rewrite of the stepping (which lattice it steps, how
+the arrays are traversed) must reproduce them as well.  A changed digest
+means changed output, not noise.
 """
 import hashlib
 
@@ -45,20 +47,97 @@ CASES = {
     "verify-q21-taylor5-strict": (
         ["verify", "--model", "q21", "--kind", "taylor", "--order", "5",
          "--tolerance", "1e-30"], EXIT_EXPECTATION,
-        {"stdout": "09688c1d0a78bd654998ce70ea09aa30090193ca369a78f21f94f40dee1bb36e"}),
+        {"stdout":
+         "09688c1d0a78bd654998ce70ea09aa30090193ca369a78f21f94f40dee1bb36e"}),
 }
+
+
+SIMULATE = ["simulate", "--csv", "s.csv", "--manifest", "m.json", "--model"]
+Q7_TAYLOR3 = SIMULATE + ["q7", "--kind", "taylor", "--order", "3"]
+Q5_HERMITE3 = SIMULATE + ["q5", "--kind", "hermite", "--order", "3"]
+# a lattice long enough that run() steps a shortened copy of it
+LONG_TUBE = ["--nodes", "20000", "--interface", "9000", "--steps", "40"]
+
+SIMULATOR_CASES = {
+    "simulate-q7-taylor3": (
+        Q7_TAYLOR3, EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "89af5819ef1200dfb2b1c07ea245ddf65e4d4b2969040dfabfa793f098b20f0e",
+         "m.json": "122ca390b478712207a2b62128316d8f1a564ec0662b6391f51ec145d53d18a0"}),
+    "simulate-q5-hermite3-right": (
+        Q5_HERMITE3 + ["--high-side", "right"], EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "818e04df9dda5cd8778c01094a8ca0548f687e46fb5a22802d327b13ab9ceb65",
+         "m.json": "e742158102ff01fdfefaf1cad5df07a6c7f62c0ad021355857bf2ae6242f421c"}),
+    "simulate-q7-taylor3-tau08": (
+        Q7_TAYLOR3 + ["--tau", "0.8", "--steps", "150"], EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "5118edd748b972bbfc6dbacdb1013eb0e78700cd2046aa9230da6598022bc451",
+         "m.json": "341f647da2f628c146b98a558dd8e8701ede99cd48a1eac6aa0284a09e8ef65d"}),
+    "simulate-shortened": (
+        Q7_TAYLOR3 + LONG_TUBE + ["--snapshot-interval", "10"], EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "ed8f104c8d1c96c52ba03c757e923113bf26cb4a70e6ed730b72c1df1fa77c71",
+         "m.json": "f428dff58684bd57fe4d773972727c16b3618785f3c11e558f0d9266c24f189f"}),
+    "simulate-shortened-right-tau06": (
+        Q7_TAYLOR3 + LONG_TUBE + ["--high-side", "right", "--tau", "0.6"], EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "0926a98084ac4b3c428f739a63585469c1de565edc039114bccee2e4f5256ff7",
+         "m.json": "1d9dd73403bb151c427f5d7025add98e788ce465817d96beecf0a37caa68c7fb"}),
+    "simulate-unstable": (
+        Q5_HERMITE3 + ["--rho-bar", "11", "--allow-unstable"], EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "a1fe0c0ab609707329cba263d2c08f6088bdfba863fc7cf136433d881aa82a92",
+         "m.json": "81b032990ad3ad49899b0374c057d19824e42bb15cfb79a386a374bca8ffbf6e"}),
+    "simulate-shortened-unstable": (
+        Q5_HERMITE3 + LONG_TUBE + ["--rho-bar", "11", "--allow-unstable"], EXIT_OK,
+        {"stdout": EMPTY,
+         "s.csv": "bfca6c626ed7f09363312950edaf78e479dd2d8a90eb71e3b8f6d9114adbf158",
+         "m.json": "2a16db9228cc7db12ab9076db294232ee7c8a1f2b63d017b852d4c06f7478c3e"}),
+    "riemann-csv": (
+        ["riemann", "--left", "3,0,1", "--right", "1,0,1", "--time", "150",
+         "--dx", "0.8", "--csv", "r.csv", "--out", "r.json"], EXIT_OK,
+        {"stdout": EMPTY,
+         "r.csv": "4c9b78770cc0330fcf4b44bf82e3c87412d83cca7a4d2017d791c63c0ef9f026",
+         "r.json": "c9ac7019550b85656b2358566d5ccceb24299a6a66282e96c3b49f40bdade6ee"}),
+    "compare": (
+        ["compare", "--sim", "s.csv", "--manifest", "m.json", "--out", "c.json"], EXIT_OK,
+        {"stdout": EMPTY,
+         "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
+    "stability-scan": (
+        ["stability-scan", "--models", "q5,q7", "--expansions", "hermite:3,taylor:3",
+         "--rho-bars", "3,11", "--taus", "1,0.8", "--nodes", "400"], EXIT_OK,
+        {"stdout":
+         "adcac7e444380f58ff06b8596afc865058dac5b621e33f5a433b2bba002e7623"}),
+}
+# invocations that write a case's inputs; each must exit 0
+PRELUDES = {"compare": [Q7_TAYLOR3]}
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_solver_output_bytes_are_unchanged(name, tmp_path, monkeypatch, capsys):
-    argv, code, digests = CASES[name]
-    monkeypatch.chdir(tmp_path)
+def _output_digests(argv, code, digests, tmp_path, capsys, preludes=()):
+    for prelude in preludes:
+        assert main(prelude) == EXIT_OK
     capsys.readouterr()
     assert main(argv) == code
     got = {"stdout": _sha256(capsys.readouterr().out.encode())}
     got.update((f, _sha256((tmp_path / f).read_bytes())) for f in digests if f != "stdout")
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solver_output_bytes_are_unchanged(name, tmp_path, monkeypatch, capsys):
+    argv, code, digests = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    assert _output_digests(argv, code, digests, tmp_path, capsys) == digests
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATOR_CASES))
+def test_simulator_output_bytes_are_unchanged(name, tmp_path, monkeypatch, capsys):
+    argv, code, digests = SIMULATOR_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    got = _output_digests(argv, code, digests, tmp_path, capsys, PRELUDES.get(name, ()))
     assert got == digests
