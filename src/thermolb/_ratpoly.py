@@ -170,22 +170,45 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _trial_divisors():
+    """2, 3, then every 6k - 1 and 6k + 1: a superset of the primes."""
+    yield 2
+    yield 3
+    k = 6
+    while True:
+        yield k - 1
+        yield k + 1
+        k += 6
+
+
 def _small_divisors(n: int, limit: int = 200) -> list[int] | None:
-    """All positive divisors of |n|, or None if there could be too many."""
+    """All positive divisors of |n|, sorted, or None if |n| is 0, above
+    1e12, or has more than `limit` divisors.
+
+    |n| is factored by trial division, each prime divided out as it is
+    found, until p * p exceeds the cofactor left; the divisors are the
+    products of the prime powers."""
     n = abs(n)
     if n == 0 or n > 10**12:
         return None
-    divs = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            divs.append(i)
-            if i != n // i:
-                divs.append(n // i)
-            if len(divs) > limit:
-                return None
-        i += 1
-    return divs
+    factors = []  # (prime, exponent)
+    for p in _trial_divisors():
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    if n > 1:
+        factors.append((n, 1))
+    if math.prod(e + 1 for _, e in factors) > limit:
+        return None
+    divs = [1]
+    for p, e in factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:

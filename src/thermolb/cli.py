@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -27,8 +28,8 @@ from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, NoRealSolutionError,
                            RatioTuple, VelocityModel, _moment_residual,
                            build_polynomial, resolve_catalog, solve_model)
 from .riemann import GasState, VacuumError, sample_profile, solve_riemann
-from .simulator import (ShockTubeConfig, Snapshot, extract_plateaus, run,
-                        stability_scan)
+from .simulator import (ShockTubeConfig, Snapshot, check_probes,
+                        extract_plateaus, run, stability_scan)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -329,6 +330,7 @@ def cmd_simulate(args) -> int:
                              high_side=args.high_side, tau=args.tau,
                              steps=args.steps,
                              snapshot_interval=args.snapshot_interval)
+    check_probes(config.nodes, (config.probe_low, config.probe_high))
     result = run(config)
     final = result.final
     csv_text = _snapshot_csv(final.rho, final.u, final.theta)
@@ -415,14 +417,31 @@ def cmd_compare(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
     try:
         cfg = manifest["config"]
-        nodes, interface, dx = cfg["nodes"], cfg["interface"], cfg["dx"]
-        steps = manifest.get("final_step", cfg["steps"])
-        rho_bar, high = cfg["rho_bar"], cfg["high_side"]
+        counts = {"nodes": cfg["nodes"], "interface": cfg["interface"],
+                  "steps": cfg["steps"],
+                  "final_step": manifest.get("final_step", cfg["steps"])}
+        scales = {"dx": cfg["dx"], "rho_bar": cfg["rho_bar"]}
+        high = cfg["high_side"]
         band = max(int(p) for p in cfg["model"]["p"])
     except KeyError as exc:
         raise UsageError(f"manifest {args.manifest} has no {exc} entry") from exc
     except TypeError as exc:
         raise UsageError(f"manifest {args.manifest} is not a simulate manifest: {exc}") from exc
+    for key, value in counts.items():
+        least = 1 if key in ("nodes", "interface") else 0  # a 0-step run compares at t = 0
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise UsageError(f"manifest {args.manifest} has {key} {value!r}, "
+                             f"not an integer >= {least}")
+    for key, value in scales.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf):
+            raise UsageError(f"manifest {args.manifest} has {key} {value!r}, "
+                             "not a positive finite number")
+    if high not in ("left", "right"):
+        raise UsageError(f"manifest {args.manifest} has high_side {high!r}, "
+                         "not 'left' or 'right'")
+    nodes, interface, steps = counts["nodes"], counts["interface"], counts["final_step"]
+    dx, rho_bar = scales["dx"], scales["rho_bar"]
     if len(sim) != nodes:
         raise UsageError(
             f"snapshot has {len(sim)} rows but the manifest says {nodes} nodes")

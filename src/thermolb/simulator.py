@@ -11,15 +11,24 @@ with the first (the wrapped-around columns land inside the boundary
 bands, which are rewritten right after), the two band columns computed
 once per run, and the moments.
 
+run() steps only the light cone of the tube.  A population hops at
+most band_width nodes per step, so after T steps a node has seen only
+what lay within band_width * T of it; far from the interface and the two
+band edges the tube stays exactly uniform.  A uniform run longer than
+2 * band_width * T + 1 nodes is cut to that length on a copy of the
+config, and each recorded snapshot is expanded back to the full lattice,
+every cut node taking the values of the far node kept in its run.
+
 Determinism: every arithmetic path is elementwise or reduces over the
 velocity axis of one node in a fixed order, so results are bit-identical
-across runs, and the equilibrium and the moments are organized over
-+/- speed pairs, so they are exactly mirror symmetric under
-(x, v, u) -> (-x, -v, -u).
+across runs and do not depend on which other nodes share the arrays
+(which is why the shortened lattice gives the full lattice's bits), and
+the equilibrium and the moments are organized over +/- speed pairs, so
+they are exactly mirror symmetric under (x, v, u) -> (-x, -v, -u).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -57,6 +66,8 @@ class ShockTubeConfig:
             raise ValueError(f"dense-state density must be positive, got {self.rho_bar}")
         if self.high_side not in ("left", "right"):
             raise ValueError(f"high_side must be 'left' or 'right', got {self.high_side!r}")
+        if self.steps is not None and self.steps < 0:
+            raise ValueError(f"step count must be >= 0, got {self.steps}")
         if self.tau < 0.5:
             raise ValueError(f"relaxation time below 1/2 is unstable by design: {self.tau}")
         band = int(self.model.ratios.p[-1])
@@ -274,6 +285,31 @@ class RunResult:
         return self.snapshots[-1]
 
 
+def _light_cone(config: ShockTubeConfig, steps: int) -> tuple[ShockTubeConfig, np.ndarray]:
+    """The lattice run() steps for a horizon of `steps`, and the index that
+    maps each node of config's lattice to the stepped node holding its values.
+
+    A population hops at most band_width nodes per step, so after T steps a
+    node has seen only the initial columns and band forcing within
+    reach = band_width * T of it.  Inside the uniform run between the left
+    band and the interface, or between the interface and the right band,
+    every node farther than reach from both ends of its run therefore holds
+    the same values at every step up to T.  A run longer than 2 * reach + 1
+    keeps its first reach nodes, one such far node and its last reach
+    nodes; each node cut out maps to the far node kept."""
+    b, nodes = config.band_width, config.nodes
+    reach = b * max(steps, 1)  # >= b keeps a cut lattice at least 4 bands long
+    mid = min(max(config.interface, b), nodes - b)
+    kept = np.ones(nodes, dtype=bool)
+    for lo, hi in ((b, mid), (mid, nodes - b)):
+        if hi - lo > 2 * reach + 1:
+            kept[lo + reach + 1:hi - reach] = False
+    index = np.cumsum(kept) - 1
+    lattice = replace(config, nodes=int(index[-1]) + 1,
+                      interface=int(index[config.interface]), steps=steps)
+    return lattice, index
+
+
 def run(config: ShockTubeConfig) -> RunResult:
     """Run a shock tube to its horizon (or until instability).
 
@@ -281,25 +317,33 @@ def run(config: ShockTubeConfig) -> RunResult:
     final healthy state).  The verdict reports the first failed health
     check, if any, and the largest density-fluctuation score seen in a
     recorded snapshot.
+
+    The steps run on the lattice of _light_cone and every snapshot is
+    expanded back to config.nodes.  Each node of config's lattice equals a
+    stepped node bit for bit and the other way round, so the snapshots,
+    the health verdict (which asks whether any node fails) and the
+    fluctuation scores are those of stepping config's whole lattice.
     """
-    state = init_shock_tube(config)
     total = config.steps if config.steps is not None else default_step_count(config)
+    lattice, index = _light_cone(config, total)
+    state = init_shock_tube(lattice)
+    max_speed = 1.5 * config.model.max_speed
     margin = config.band_width + 1
     snapshots: list[Snapshot] = []
     fluct = 0.0
 
     def record(s: LatticeState):
         nonlocal fluct
-        snap = Snapshot(step=s.step_count, rho=s.rho.copy(), u=s.u.copy(),
-                        theta=s.theta.copy())
+        snap = Snapshot(step=s.step_count, rho=s.rho[index], u=s.u[index],
+                        theta=s.theta[index])
         snapshots.append(snap)
         fluct = max(fluct, density_fluctuation(snap.rho, margin))
 
     failure_step = None
     failure_mode = None
     for n in range(1, total + 1):
-        step(state, config)
-        mode = check_health(state, 1.5 * config.model.max_speed)
+        step(state, lattice)
+        mode = check_health(state, max_speed)
         if mode is not None:
             failure_step, failure_mode = n, mode
             break
@@ -309,8 +353,8 @@ def run(config: ShockTubeConfig) -> RunResult:
         record(state)
     if failure_mode is not None and not snapshots:
         # keep the last computed (unhealthy) fields for post-mortems
-        snapshots.append(Snapshot(step=state.step_count, rho=state.rho.copy(),
-                                  u=state.u.copy(), theta=state.theta.copy()))
+        snapshots.append(Snapshot(step=state.step_count, rho=state.rho[index],
+                                  u=state.u[index], theta=state.theta[index]))
     verdict = StabilityVerdict(stable=failure_mode is None,
                                failure_step=failure_step,
                                failure_mode=failure_mode,
@@ -344,6 +388,14 @@ class PlateauReport:
         }
 
 
+def check_probes(nodes: int, probes: Iterable[int], window: int = 10) -> None:
+    """ValueError unless each probe's +-window nodes lie on a lattice of
+    `nodes` nodes."""
+    for probe in probes:
+        if not window <= probe < nodes - window:
+            raise ValueError(f"probe node {probe} outside the lattice")
+
+
 def extract_plateaus(snapshot: Snapshot, probe_low: int = 430,
                      probe_high: int = 650, window: int = 10,
                      flat_tolerance: float = 0.02) -> PlateauReport:
@@ -353,10 +405,7 @@ def extract_plateaus(snapshot: Snapshot, probe_low: int = 430,
     flat_tolerance (relative); a False flag means the probe does not sit
     on a converged plateau and the reading is suspect.
     """
-    n = len(snapshot.rho)
-    for probe in (probe_low, probe_high):
-        if not window <= probe < n - window:
-            raise ValueError(f"probe node {probe} outside the lattice")
+    check_probes(len(snapshot.rho), (probe_low, probe_high), window)
 
     def read(field: np.ndarray, probe: int) -> float:
         return float(np.median(field[probe - window:probe + window + 1]))

@@ -341,10 +341,22 @@ def test_simulate_exit_codes_for_unstable_runs(tmp_path, capsys):
 def test_simulate_usage_errors(tmp_path):
     argv, _, _ = simulate_args(tmp_path, "bad_tau", "--tau", "0.4")
     assert main(argv) == EXIT_USAGE
+    argv, _, _ = simulate_args(tmp_path, "bad_steps", "--steps", "-5")
+    assert main(argv) == EXIT_USAGE
     argv, _, _ = simulate_args(tmp_path, "bad_workers", "--workers", "0")
     assert main(argv) == EXIT_USAGE
     assert main(["simulate", "--model", "no-such", "--kind", "taylor",
                  "--order", "2"]) == EXIT_USAGE
+
+
+def test_simulate_checks_the_probes_before_it_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("thermolb.cli.run", lambda config: pytest.fail("run() started"))
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "short", "--nodes", "400",
+                                                  "--interface", "200")
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: probe node 430 outside the lattice\n"
+    assert not csv_path.exists() and not manifest_path.exists()
 
 
 def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
@@ -502,6 +514,40 @@ def test_compare_with_a_misshapen_manifest_is_a_usage_error(tmp_path, capsys, ma
     assert main(["compare", "--sim", str(csv_path),
                  "--manifest", str(manifest_path)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: manifest ")
+
+
+@pytest.mark.parametrize("edit", [
+    {"dx": "a"},
+    {"high_side": None, "rho_bar": "3"},
+    {"steps": -5, "final_step": -5},
+    {"nodes": 1000.0},
+    {"interface": True},
+    {"rho_bar": float("inf")},
+    {"dx": float("nan")},
+    {"high_side": "up"},
+], ids=["dx-string", "high-side-null", "negative-steps", "float-nodes", "bool-interface",
+        "infinite-rho-bar", "nan-dx", "high-side-up"])
+def test_compare_checks_the_manifest_config_before_use(tmp_path, capsys, edit):
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
+    assert main(argv) == EXIT_OK
+    manifest = load_json(manifest_path)
+    for key, value in edit.items():
+        (manifest if key == "final_step" else manifest["config"])[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["compare", "--sim", str(csv_path),
+                 "--manifest", str(manifest_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: manifest ")
+
+
+def test_compare_of_a_zero_step_run_is_at_time_zero(tmp_path, capsys):
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "0")
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(["compare", "--sim", str(csv_path),
+                 "--manifest", str(manifest_path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["time"] == 0.0
 
 
 # --------------------------------------------------------- stability-scan

@@ -482,6 +482,18 @@ _GUARD_CONSTANTS = [999_999_999_989, 999_999_000_001, 10**12, 963_761_198_400,
                     735_134_400, 720_720, 997_920]
 
 
+@given(st.one_of(st.integers(-10**7, 10**7), st.sampled_from(_GUARD_CONSTANTS)))
+@example(0)
+@example(10**12 + 1)
+@example(999_983 * 999_979)  # two primes near 1e6: trial division runs longest
+@example(3**25)
+@example(-(2**39))
+@settings(max_examples=150, deadline=None)
+def test_small_divisors_equal_the_trial_of_every_integer(n):
+    want = _reference_divisors(n)
+    assert rp._small_divisors(n) == (None if want is None else sorted(want))
+
+
 @st.composite
 def planted_polynomials(draw):
     """(coefficients, planted roots): Fraction coefficients (constant first)

@@ -82,6 +82,7 @@ def test_boundary_bands_stay_pinned(q5):
 def test_config_validation(q5):
     good = dict(model=q5, expansion=TE2)
     ShockTubeConfig(**good, tau=0.5)  # boundary value is allowed
+    ShockTubeConfig(**good, steps=0)
     bad_fields = [
         dict(rho_bar=0.0),
         dict(rho_bar=-2.0),
@@ -90,6 +91,7 @@ def test_config_validation(q5):
         dict(nodes=11, interface=5),  # needs >= 4 * band_width = 12
         dict(interface=0),
         dict(interface=1000),
+        dict(steps=-1),
     ]
     for fields in bad_fields:
         with pytest.raises(ValueError):
