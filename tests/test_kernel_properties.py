@@ -186,8 +186,8 @@ def dense_run(config):
     if failure[1] is None and (not snapshots or snapshots[-1][0] != state.step_count):
         snapshots.append((state.step_count, state.rho.copy(), state.u.copy(),
                           state.theta.copy()))
-    fluct = max((density_fluctuation(rho, config.band_width + 1)
-                 for _, rho, _, _ in snapshots), default=0.0)
+    fluct = max([0.0] + [density_fluctuation(rho, config.band_width + 1)
+                         for _, rho, _, _ in snapshots])
     if failure[1] is not None and not snapshots:
         snapshots.append((state.step_count, state.rho.copy(), state.u.copy(),
                           state.theta.copy()))

@@ -32,6 +32,10 @@ def _u_behind(p_star, state, gamma, side):
         num = (gamma + 1) * p_star + (gamma - 1) * p0
         den = (gamma + 1) * p0 + (gamma - 1) * p_star
         rho1 = rho0 * num / den
+        if rho1 == rho0:
+            # a jump within rounding of p0 is an acoustic wave: mass flux
+            # rho0 c0 (the jump relation would divide 0 by 0)
+            return state.u - sign * (p_star - p0) / (rho0 * state.sound_speed(gamma))
         m = math.sqrt((p_star - p0) / (1.0 / rho0 - 1.0 / rho1))
         return state.u - sign * (p_star - p0) / m
     # rarefaction: integrate the Riemann invariant du = +-dp / (rho c)
