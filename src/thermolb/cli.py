@@ -158,6 +158,8 @@ def _load_model(ref: str) -> VelocityModel:
 def _parse_state(text: str) -> GasState:
     try:
         rho, u, theta = (float(tok) for tok in text.split(","))
+        if not all(map(math.isfinite, (rho, u, theta))):
+            raise ValueError("every value must be finite")
         return GasState(rho, u, theta)
     except ValueError as exc:
         raise UsageError(f"bad state {text!r} (expected rho,u,theta): {exc}") from exc
@@ -300,10 +302,25 @@ _SNAPSHOT_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
 
 def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
     """Per-node profile table; the same bytes _csv_lines gives for these
-    rows, written with one format string per row."""
-    rows = zip(range(len(rho)), rho.tolist(), u.tolist(), theta.tolist(),
-               (rho * theta).tolist())
-    return _SNAPSHOT_HEADER + "".join(_SNAPSHOT_ROW % row for row in rows)
+    rows, formatted once per run of consecutive identical rows.
+
+    A shock-tube snapshot is uniform outside the light cone and an exact
+    Riemann profile is piecewise constant, so most rows repeat the one
+    above.  Only a run's first row goes through the format string; each
+    other row is its own index followed by the first row's text after its
+    index.  Rows are compared by their float64 bit patterns, because
+    -0.0 == 0.0 prints differently and a NaN never compares equal."""
+    cols = np.stack((rho, u, theta, rho * theta), axis=1)
+    bits = cols.view(np.int64)
+    first = np.ones(len(cols), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(first), len(cols))
+    lines = [_SNAPSHOT_ROW % row for row in zip(bounds.tolist(), *cols[first].T.tolist())]
+    for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        start, end = bounds[k:k + 2].tolist()
+        suffix = lines[k][len(str(start)):]
+        lines[k] += suffix.join(map(str, range(start + 1, end))) + suffix
+    return _SNAPSHOT_HEADER + "".join(lines)
 
 
 def _config_dict(config: ShockTubeConfig, steps: int) -> dict:
@@ -373,6 +390,13 @@ def cmd_simulate(args) -> int:
 def cmd_riemann(args) -> int:
     left = _parse_state(args.left)
     right = _parse_state(args.right)
+    if args.csv and args.time is None:
+        raise UsageError("--csv needs a positive --time")
+    for flag, value in (("--time", args.time), ("--dx", args.dx)):
+        if value is not None and not 0 < value < math.inf:
+            raise UsageError(f"{flag} must be a positive finite number, got {value}")
+    if args.nodes < 1:
+        raise UsageError(f"--nodes must be >= 1, got {args.nodes}")
     try:
         sol = solve_riemann(left, right, gamma=args.gamma)
     except VacuumError as exc:
@@ -395,8 +419,6 @@ def cmd_riemann(args) -> int:
     }
     _emit_json(args.out, payload)
     if args.csv:
-        if args.time is None or args.time <= 0:
-            raise UsageError("--csv needs a positive --time")
         x = (np.arange(args.nodes) - args.interface) * args.dx
         _write_text(args.csv, _snapshot_csv(*sample_profile(sol, x, args.time)))
     return EXIT_OK

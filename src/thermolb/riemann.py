@@ -124,8 +124,8 @@ def solve_riemann(left: GasState, right: GasState, gamma: float = GAMMA_DEFAULT,
     fallback; converges to relative pressure increments below tol.
     Raises VacuumError when the states separate into vacuum.
     """
-    if gamma <= 1.0:
-        raise ValueError(f"adiabatic index must exceed 1, got {gamma}")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"adiabatic index must be finite and exceed 1, got {gamma}")
     al, ar = left.sound_speed(gamma), right.sound_speed(gamma)
     du = right.u - left.u
     if 2.0 * (al + ar) / (gamma - 1.0) <= du:

@@ -15,9 +15,10 @@ run() steps only the light cone of the tube.  A population hops at
 most band_width nodes per step, so after T steps a node has seen only
 what lay within band_width * T of it; far from the interface and the two
 band edges the tube stays exactly uniform.  A uniform run longer than
-2 * band_width * T + 1 nodes is cut to that length on a copy of the
-config, and each recorded snapshot is expanded back to the full lattice,
-every cut node taking the values of the far node kept in its run.
+2 * band_width * T + 1 nodes (at least 2 * band_width + 1 and 5) is cut
+to that length on a copy of the config, and each recorded snapshot is
+expanded back to the full lattice, every cut node taking the values of
+the far node kept in its run.
 
 Determinism: every arithmetic path is elementwise or reduces over the
 velocity axis of one node in a fixed order, so results are bit-identical
@@ -28,6 +29,7 @@ they are exactly mirror symmetric under (x, v, u) -> (-x, -v, -u).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -62,17 +64,23 @@ class ShockTubeConfig:
     probe_high: int = 650
 
     def __post_init__(self):
-        if self.rho_bar <= 0:
-            raise ValueError(f"dense-state density must be positive, got {self.rho_bar}")
+        if not 0 < self.rho_bar < math.inf:
+            raise ValueError(f"dense-state density must be positive and finite, "
+                             f"got {self.rho_bar}")
         if self.high_side not in ("left", "right"):
             raise ValueError(f"high_side must be 'left' or 'right', got {self.high_side!r}")
         if self.steps is not None and self.steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.steps}")
-        if self.tau < 0.5:
-            raise ValueError(f"relaxation time below 1/2 is unstable by design: {self.tau}")
+        if not 0.5 <= self.tau < math.inf:
+            raise ValueError(f"relaxation time must be finite and >= 1/2 "
+                             f"(below 1/2 is unstable by design), got {self.tau}")
         band = int(self.model.ratios.p[-1])
-        if self.nodes < 4 * band or not 0 < self.interface < self.nodes:
-            raise ValueError("lattice too small for the boundary bands")
+        # density_fluctuation needs three nodes inside its band_width + 1 margins
+        least = max(4 * band, 2 * band + 5)
+        if self.nodes < least or not 0 < self.interface < self.nodes:
+            raise ValueError(f"lattice too small for the boundary bands: need "
+                             f"nodes >= {least} and 0 < interface < nodes, got "
+                             f"nodes {self.nodes}, interface {self.interface}")
 
     @property
     def left_state(self) -> GasState:
@@ -291,14 +299,16 @@ def _light_cone(config: ShockTubeConfig, steps: int) -> tuple[ShockTubeConfig, n
 
     A population hops at most band_width nodes per step, so after T steps a
     node has seen only the initial columns and band forcing within
-    reach = band_width * T of it.  Inside the uniform run between the left
-    band and the interface, or between the interface and the right band,
-    every node farther than reach from both ends of its run therefore holds
+    band_width * T of it.  Inside the uniform run between the left band and
+    the interface, or between the interface and the right band, every node
+    farther than reach >= band_width * T from both ends of its run holds
     the same values at every step up to T.  A run longer than 2 * reach + 1
     keeps its first reach nodes, one such far node and its last reach
     nodes; each node cut out maps to the far node kept."""
     b, nodes = config.band_width, config.nodes
-    reach = b * max(steps, 1)  # >= b keeps a cut lattice at least 4 bands long
+    # reach >= max(b, 2) keeps a cut lattice at least ShockTubeConfig's
+    # minimum of max(4 * b, 2 * b + 5) nodes long, also with one run empty
+    reach = max(b * steps, b, 2)
     mid = min(max(config.interface, b), nodes - b)
     kept = np.ones(nodes, dtype=bool)
     for lo, hi in ((b, mid), (mid, nodes - b)):
@@ -443,24 +453,23 @@ def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                    rho_bars: Iterable[float], taus: Iterable[float] = (1.0,),
                    steps: int | None = None, nodes: int = 1000) -> list[ScanEntry]:
     """Grid of shock-tube runs, one after another; one verdict row per
-    combination, in grid order."""
+    combination, in grid order.  Every configuration is checked before the
+    first run starts."""
     expansions, rho_bars, taus = list(expansions), list(rho_bars), list(taus)
+    grid = [(name, ShockTubeConfig(model=model, expansion=spec, rho_bar=rho_bar,
+                                   tau=tau, nodes=nodes, steps=steps,
+                                   interface=nodes // 2))
+            for name, model in model_specs for spec in expansions
+            for rho_bar in rho_bars for tau in taus]
     entries = []
-    for name, model in model_specs:
-        for spec in expansions:
-            for rho_bar in rho_bars:
-                for tau in taus:
-                    config = ShockTubeConfig(model=model, expansion=spec,
-                                             rho_bar=rho_bar, tau=tau,
-                                             nodes=nodes, steps=steps,
-                                             interface=nodes // 2)
-                    result = run(config)
-                    entries.append(ScanEntry(
-                        model_name=name, expansion=spec.label,
-                        rho_bar=rho_bar, tau=tau,
-                        stable=result.verdict.stable,
-                        failure_step=result.verdict.failure_step,
-                        failure_mode=result.verdict.failure_mode,
-                        fluctuation=result.verdict.max_density_fluctuation,
-                        steps=result.steps_requested))
+    for name, config in grid:
+        result = run(config)
+        entries.append(ScanEntry(
+            model_name=name, expansion=config.expansion.label,
+            rho_bar=config.rho_bar, tau=config.tau,
+            stable=result.verdict.stable,
+            failure_step=result.verdict.failure_step,
+            failure_mode=result.verdict.failure_mode,
+            fluctuation=result.verdict.max_density_fluctuation,
+            steps=result.steps_requested))
     return entries

@@ -8,12 +8,15 @@ their own oracle-backed suites.
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermolb.cli import (EXIT_EXPECTATION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                           _csv_lines, _read_snapshot_csv, _snapshot_csv, main)
@@ -341,6 +344,9 @@ def test_simulate_exit_codes_for_unstable_runs(tmp_path, capsys):
 def test_simulate_usage_errors(tmp_path):
     argv, _, _ = simulate_args(tmp_path, "bad_tau", "--tau", "0.4")
     assert main(argv) == EXIT_USAGE
+    for flag, value in [("--rho-bar", "nan"), ("--tau", "nan"), ("--tau", "inf")]:
+        argv, _, _ = simulate_args(tmp_path, "non_finite", flag, value)
+        assert main(argv) == EXIT_USAGE, (flag, value)
     argv, _, _ = simulate_args(tmp_path, "bad_steps", "--steps", "-5")
     assert main(argv) == EXIT_USAGE
     argv, _, _ = simulate_args(tmp_path, "bad_workers", "--workers", "0")
@@ -359,9 +365,26 @@ def test_simulate_checks_the_probes_before_it_runs(tmp_path, monkeypatch, capsys
     assert not csv_path.exists() and not manifest_path.exists()
 
 
+TINY = float(np.finfo(np.float64).tiny)
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                dtype=np.uint64).view(np.float64).tolist()  # three payloads
+VALUES = [0.0, -0.0, *NANS, 5e-324, TINY / 3, -TINY / 7, TINY, 1e-300, -1e-300,
+          1.0, -2.0, 2.0 ** 53, 0.1, 1 / 3, 1e150, math.inf]
+TWIN = {0: 1, 1: 0, 2: 3, 3: 4, 4: 2}  # the other zero; the next NaN payload
+
+
+def assert_same_text(got, want):
+    """got == want, reported by the first differing line: pytest's own diff
+    of two multi-megabyte strings takes minutes."""
+    if got != want:
+        got, want = got.splitlines(), want.splitlines()
+        line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+        pytest.fail(f"line {line}: {got[line:line + 1]} != {want[line:line + 1]}")
+
+
 def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
-    tiny = float(np.finfo(np.float64).tiny)
-    awkward = np.array([-0.0, 0.0, 5e-324, tiny / 3, -tiny / 7, tiny, 1e-300, -1e-300,
+    awkward = np.array([-0.0, 0.0, 5e-324, TINY / 3, -TINY / 7, TINY, 1e-300, -1e-300,
                         1.0, -2.0, 3e15, 2.0 ** 53, -(2.0 ** 60), 0.1, 1 / 3, 1e150])
     n = 100_003  # six-digit node indices
     rng = np.random.default_rng(5)
@@ -369,13 +392,54 @@ def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
     with np.errstate(under="ignore"):  # p = rho * theta of two subnormals
         text = _snapshot_csv(rho, u, theta)
         rows = [[i, rho[i], u[i], theta[i], rho[i] * theta[i]] for i in range(n)]
-    assert text == _csv_lines(["X", "rho", "u", "theta", "p"], rows)
+    assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
     path = tmp_path / "awkward.csv"
     path.write_text(text)
     parsed = np.array([[float(c) for c in line.split(",")]
                        for line in text.splitlines()[1:]])
     assert np.array_equal(_read_snapshot_csv(str(path)).view(np.uint64),
                           parsed.view(np.uint64))  # sign of zero included
+
+
+@st.composite
+def snapshot_runs(draw):
+    """(length, (rho, u, theta) indices into VALUES) per run.  A run after
+    the first is fresh, or its neighbour with one value changed (the other
+    zero or NaN payload where there is one), or its neighbour with rho and
+    theta swapped, which leaves p = rho * theta the same."""
+    runs = []
+    for _ in range(draw(st.integers(0, 12))):
+        length = draw(st.integers(1, 12))
+        how = draw(st.sampled_from(["fresh", "twin", "swap"]) if runs else st.just("fresh"))
+        if how == "fresh":
+            row = tuple(draw(st.integers(0, len(VALUES) - 1)) for _ in range(3))
+        elif how == "twin":
+            row = list(runs[-1][1])
+            col = draw(st.integers(0, 2))
+            row[col] = TWIN.get(row[col], (row[col] + 1) % len(VALUES))
+            row = tuple(row)
+        else:
+            row = runs[-1][1][::-1]
+        runs.append((length, row))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=snapshot_runs())
+@example(runs=[])
+@example(runs=[(1, (2, 1, 6))])
+@example(runs=[(8, (0, 2, 9)), (4, (1, 2, 9)), (3, (1, 3, 9))])  # runs over 9 -> 10
+@example(runs=[(99_990, (10, 11, 12)), (20, (11, 11, 10)), (5, (5, 11, 6))])
+@example(runs=[(99_999, (10, 11, 12)), (2, (10, 11, 12))])  # one run over 99999 -> 100000
+def test_snapshot_csv_formats_runs_of_rows_like_the_row_by_row_writer(runs):
+    rho, u, theta = (np.array([VALUES[row[k]] for length, row in runs for _ in range(length)],
+                              dtype=np.float64) for k in range(3))
+    with np.errstate(all="ignore"):  # subnormal and 0 * inf products
+        text = _snapshot_csv(rho, u, theta)
+        p = rho * theta
+    rows = [[i, *cells] for i, cells in enumerate(zip(rho.tolist(), u.tolist(),
+                                                      theta.tolist(), p.tolist()))]
+    assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
 
 
 # ---------------------------------------------------------------- riemann
@@ -430,6 +494,19 @@ def test_riemann_profile_csv_round_trips(tmp_path):
     assert np.array_equal(data[:, 1], rho)
     assert np.array_equal(data[:, 2], u)
     assert np.array_equal(data[:, 3], theta)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dx", "nan"], ["--dx", "0"], ["--dx", "inf"], ["--time", "nan"],
+    ["--time", "inf"], ["--nodes", "0"], ["--nodes", "-3"], ["--gamma", "nan"],
+    ["--gamma", "inf"], ["--left", "nan,0,1"], ["--left", "3,inf,1"]], ids="=".join)
+def test_riemann_checks_its_inputs_before_solving(tmp_path, capsys, flags):
+    out, prof = tmp_path / "r.json", tmp_path / "prof.csv"
+    argv = ["riemann", "--left", "3,0,1", "--right", "1,0,1", "--time", "50",
+            "--csv", str(prof), "--out", str(out)]
+    assert main(argv + flags) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not prof.exists()
 
 
 def test_riemann_vacuum_is_a_numerical_failure(capsys):
@@ -567,9 +644,15 @@ def test_stability_scan_csv(tmp_path):
     assert int(ok[8]) == 50
 
 
-def test_stability_scan_usage_error(monkeypatch):
+def test_stability_scan_usage_error(monkeypatch, capsys):
     assert main(["stability-scan", "--models", "q5", "--expansions", "bogus",
                  "--rho-bars", "3"]) == EXIT_USAGE
+    for grid in (["--rho-bars", "nan"], ["--rho-bars", "3", "--taus", "nan"],
+                 # too short for the fluctuation score's margins
+                 ["--rho-bars", "3", "--nodes", "6", "--steps", "5"]):
+        assert main(["stability-scan", "--models", "q3", "--expansions", "taylor:3",
+                     *grid]) == EXIT_USAGE, grid
+        assert capsys.readouterr().err.startswith("error: ")
     monkeypatch.setenv("THERMOLB_WORKERS", "0")
     assert main(["stability-scan", "--models", "q5", "--expansions", "hermite:3",
                  "--rho-bars", "3"]) == EXIT_USAGE

@@ -15,6 +15,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -217,7 +218,8 @@ def test_run_equals_stepping_the_whole_lattice_bitwise():
         if data is None:
             nodes, interface, steps, interval = 20000, 9000, 40, 7
         else:
-            # the fluctuation score needs three nodes inside its margins
+            # ShockTubeConfig's minimum: four bands, and three nodes inside
+            # the fluctuation score's margins
             nodes = data.draw(st.integers(max(4 * band, 2 * band + 5), 20000),
                               label="nodes")
             interface = data.draw(st.integers(1, nodes - 1), label="interface")
@@ -247,3 +249,22 @@ def test_run_equals_stepping_the_whole_lattice_bitwise():
     assert any(shortened for shortened, _ in drawn)
     assert any(not shortened for shortened, _ in drawn)
     assert any(shortened and not stable for shortened, stable in drawn)
+
+
+@pytest.mark.parametrize("interface", [1, 29])
+@pytest.mark.parametrize("steps", [0, 1])
+def test_a_cut_lattice_keeps_the_config_minimum(interface, steps):
+    # with the interface on a band edge one run is empty; cutting the other
+    # to 2 * band_width * max(steps, 1) + 1 nodes would leave q3 a 5-node
+    # lattice, below ShockTubeConfig's minimum of 7
+    config = ShockTubeConfig(model=model("q3"), expansion=EXPANSIONS[1], nodes=30,
+                             interface=interface, steps=steps)
+    lattice, _ = _light_cone(config, steps)
+    assert lattice.nodes == 7
+    want, failure_step, failure_mode, fluct = dense_run(config)
+    result = run(config)
+    assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in result.snapshots] == \
+        [(n, *bits(rho, u, theta)) for n, rho, u, theta in want]
+    assert (result.verdict.failure_step, result.verdict.failure_mode) == \
+        (failure_step, failure_mode)
+    assert bits(result.verdict.max_density_fluctuation) == bits(fluct)

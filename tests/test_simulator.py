@@ -79,23 +79,31 @@ def test_boundary_bands_stay_pinned(q5):
     assert state.step_count == 12
 
 
-def test_config_validation(q5):
+def test_config_validation(q3, q5):
     good = dict(model=q5, expansion=TE2)
     ShockTubeConfig(**good, tau=0.5)  # boundary value is allowed
     ShockTubeConfig(**good, steps=0)
+    ShockTubeConfig(model=q3, expansion=TE2, nodes=7, interface=3)
     bad_fields = [
         dict(rho_bar=0.0),
         dict(rho_bar=-2.0),
+        dict(rho_bar=float("nan")),
+        dict(rho_bar=float("inf")),
         dict(high_side="up"),
         dict(tau=0.49),
+        dict(tau=float("nan")),
+        dict(tau=float("inf")),
         dict(nodes=11, interface=5),  # needs >= 4 * band_width = 12
+        # q3's bands fit in 4 nodes, but the fluctuation score's
+        # band_width + 1 margins need 2 * 1 + 5 = 7 to keep three inside
+        dict(model=q3, nodes=6, interface=3),
         dict(interface=0),
         dict(interface=1000),
         dict(steps=-1),
     ]
     for fields in bad_fields:
         with pytest.raises(ValueError):
-            ShockTubeConfig(**good, **fields)
+            ShockTubeConfig(**{**good, **fields})
 
 
 # ------------------------------------------------------------- dynamics
