@@ -57,6 +57,7 @@ Q7_TAYLOR3 = SIMULATE + ["q7", "--kind", "taylor", "--order", "3"]
 Q5_HERMITE3 = SIMULATE + ["q5", "--kind", "hermite", "--order", "3"]
 # a lattice long enough that run() steps a shortened copy of it
 LONG_TUBE = ["--nodes", "20000", "--interface", "9000", "--steps", "40"]
+COMPARE = ["compare", "--sim", "s.csv", "--manifest", "m.json", "--out", "c.json"]
 
 SIMULATOR_CASES = {
     "simulate-q7-taylor3": (
@@ -101,7 +102,17 @@ SIMULATOR_CASES = {
          "r.csv": "4c9b78770cc0330fcf4b44bf82e3c87412d83cca7a4d2017d791c63c0ef9f026",
          "r.json": "c9ac7019550b85656b2358566d5ccceb24299a6a66282e96c3b49f40bdade6ee"}),
     "compare": (
-        ["compare", "--sim", "s.csv", "--manifest", "m.json", "--out", "c.json"], EXIT_OK,
+        COMPARE, EXIT_OK,
+        {"stdout": EMPTY,
+         "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
+    # the same compare on hand-edited copies of the snapshot, which no longer
+    # match the manifest's output_sha256 (a warning on stderr only)
+    "compare-crlf": (
+        COMPARE, EXIT_OK,
+        {"stdout": EMPTY,
+         "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
+    "compare-no-final-newline": (
+        COMPARE, EXIT_OK,
         {"stdout": EMPTY,
          "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
     "stability-scan": (
@@ -110,8 +121,22 @@ SIMULATOR_CASES = {
         {"stdout":
          "adcac7e444380f58ff06b8596afc865058dac5b621e33f5a433b2bba002e7623"}),
 }
-# invocations that write a case's inputs; each must exit 0
-PRELUDES = {"compare": [Q7_TAYLOR3]}
+
+
+def _crlf(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def _no_final_newline(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+
+
+# what writes a case's inputs: an argv that must exit 0, or an edit of the
+# files written so far
+PRELUDES = {"compare": [Q7_TAYLOR3], "compare-crlf": [Q7_TAYLOR3, _crlf],
+            "compare-no-final-newline": [Q7_TAYLOR3, _no_final_newline]}
 
 
 def _sha256(data: bytes) -> str:
@@ -120,7 +145,10 @@ def _sha256(data: bytes) -> str:
 
 def _output_digests(argv, code, digests, tmp_path, capsys, preludes=()):
     for prelude in preludes:
-        assert main(prelude) == EXIT_OK
+        if callable(prelude):
+            prelude(tmp_path)
+        else:
+            assert main(prelude) == EXIT_OK
     capsys.readouterr()
     assert main(argv) == code
     got = {"stdout": _sha256(capsys.readouterr().out.encode())}
