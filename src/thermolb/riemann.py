@@ -36,6 +36,9 @@ class GasState:
     theta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.rho, self.u, self.theta))):
+            raise ValueError(f"rho, u and theta must be finite, got "
+                             f"({self.rho}, {self.u}, {self.theta})")
         if self.rho <= 0:
             raise ValueError(f"density must be positive, got {self.rho}")
         if self.theta <= 0:

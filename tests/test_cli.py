@@ -395,10 +395,11 @@ def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
     assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
     path = tmp_path / "awkward.csv"
     path.write_text(text)
-    parsed = np.array([[float(c) for c in line.split(",")]
+    parsed = np.array([[float(c) for c in line.split(",")[1:]]
                        for line in text.splitlines()[1:]])
-    assert np.array_equal(_read_snapshot_csv(str(path)).view(np.uint64),
-                          parsed.view(np.uint64))  # sign of zero included
+    cols, digest = _read_snapshot_csv(str(path))
+    assert np.array_equal(cols.view(np.uint64), parsed.view(np.uint64))  # sign of zero included
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @st.composite
@@ -424,6 +425,11 @@ def snapshot_runs(draw):
     return runs
 
 
+def snapshot_columns(runs):
+    return tuple(np.array([VALUES[row[k]] for length, row in runs for _ in range(length)],
+                          dtype=np.float64) for k in range(3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(runs=snapshot_runs())
 @example(runs=[])
@@ -432,14 +438,131 @@ def snapshot_runs(draw):
 @example(runs=[(99_990, (10, 11, 12)), (20, (11, 11, 10)), (5, (5, 11, 6))])
 @example(runs=[(99_999, (10, 11, 12)), (2, (10, 11, 12))])  # one run over 99999 -> 100000
 def test_snapshot_csv_formats_runs_of_rows_like_the_row_by_row_writer(runs):
-    rho, u, theta = (np.array([VALUES[row[k]] for length, row in runs for _ in range(length)],
-                              dtype=np.float64) for k in range(3))
+    rho, u, theta = snapshot_columns(runs)
     with np.errstate(all="ignore"):  # subnormal and 0 * inf products
         text = _snapshot_csv(rho, u, theta)
         p = rho * theta
     rows = [[i, *cells] for i, cells in enumerate(zip(rho.tolist(), u.tolist(),
                                                       theta.tolist(), p.tolist()))]
     assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
+
+
+def loadtxt_reader(path):
+    """The snapshot reader before runs were parsed once: every row through
+    np.loadtxt, the index column parsed and dropped."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=snapshot_runs(), newline=st.sampled_from(["\n", "\r\n"]),
+       final_newline=st.booleans())
+@example(runs=[(1, (2, 1, 6))], newline="\r\n", final_newline=False)
+@example(runs=[(8, (0, 2, 9)), (4, (1, 2, 9)), (3, (1, 3, 9))], newline="\n",
+         final_newline=True)  # runs over 9 -> 10
+@example(runs=[(3, (14, 0, 11)), (2, (14, 11, 11))], newline="\n",
+         final_newline=True)  # equal-length texts that differ past their first 8 bytes
+@example(runs=[(99_999, (10, 11, 12)), (2, (10, 11, 12))], newline="\r\n",
+         final_newline=False)  # one run over 99999 -> 100000
+def test_snapshot_reader_matches_parsing_every_row(tmp_path_factory, runs, newline,
+                                                   final_newline):
+    rho, u, theta = snapshot_columns(runs)
+    with np.errstate(all="ignore"):
+        text = _snapshot_csv(rho, u, theta).replace("\n", newline)
+    if not final_newline:
+        text = text.removesuffix(newline)
+    path = tmp_path_factory.mktemp("reader") / "s.csv"
+    path.write_bytes(text.encode())
+    cols, digest = _read_snapshot_csv(str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert cols.shape == (len(rho), 4)
+    if len(rho):  # loadtxt warns on a file with no rows
+        assert np.array_equal(cols.view(np.uint64), loadtxt_reader(path).view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    argv, csv_path, manifest_path = simulate_args(tmp_path_factory.mktemp("run"), "run",
+                                                  "--steps", "20")
+    assert main(argv) == EXIT_OK
+    return csv_path.read_text().splitlines(keepends=True), manifest_path
+
+
+def _edit_rows(lines, edit):
+    """lines[0] is the header, lines[1 + i] row i."""
+    lines = list(lines)
+    if edit == "swapped":
+        lines[101], lines[102] = lines[102], lines[101]
+    elif edit == "gap":  # rows 500.. renumbered from 501
+        lines[501:] = [f"{i + 1},{line.split(',', 1)[1]}" for i, line in
+                       enumerate(lines[501:], start=500)]
+    elif edit == "fraction":
+        lines[2] = "1.5," + lines[2].split(",", 1)[1]
+    elif edit in ("leading-zero", "plus", "space"):
+        prefix = {"leading-zero": "07", "plus": "+7", "space": " 7"}[edit]
+        lines[8] = prefix + lines[8][1:]
+    elif edit == "blank":
+        lines.insert(11, "\n")
+    elif edit == "comment":
+        lines.insert(11, "# hand-edited\n")
+    elif edit == "four-fields":
+        lines[301] = lines[301].rsplit(",", 1)[0] + "\n"
+    elif edit == "six-fields":
+        lines[301] = lines[301].rstrip("\n") + ",1\n"
+    elif edit == "not-a-number":
+        cells = lines[301].split(",")
+        lines[301] = ",".join([cells[0], "abc", *cells[2:]])
+    elif edit == "carriage-return":
+        cells = lines[301].split(",")
+        lines[301] = ",".join([cells[0], cells[1] + "\r", *cells[2:]])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    ("swapped", 102, "X is '101', expected 100"),
+    ("gap", 502, "X is '501', expected 500"),
+    ("fraction", 3, "X is '1.5', expected 1"),
+    ("leading-zero", 9, "X is '07', expected 7"),
+    ("plus", 9, "X is '+7', expected 7"),
+    ("space", 9, "X is ' 7', expected 7"),
+    ("blank", 12, "X is '', expected 10"),
+    ("comment", 12, "X is '# hand-edited', expected 10"),
+    ("four-fields", 302, "expected 5 fields, found 4"),
+    ("six-fields", 302, "expected 5 fields, found 6"),
+    ("not-a-number", 302, "could not convert string 'abc'"),
+    ("carriage-return", 302, "newline"),
+])
+def test_compare_names_the_line_of_a_misread_snapshot(tmp_path, capsys, short_run, edit,
+                                                      line, message):
+    lines, manifest_path = short_run
+    path = tmp_path / "edited.csv"
+    path.write_text(_edit_rows(lines, edit), newline="")
+    capsys.readouterr()
+    assert main(["compare", "--sim", str(path), "--manifest", str(manifest_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path} line {line}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("edit", ["spaces", "trailing-comment", "crlf", "no-final-newline"])
+def test_compare_reads_hand_edited_rows_as_before(tmp_path, capsys, short_run, edit):
+    lines, manifest_path = short_run
+    lines = list(lines)
+    if edit == "spaces":
+        cells = lines[301].rstrip("\n").split(",")
+        lines[301] = ",".join([cells[0], *(f" {c}  " for c in cells[1:])]) + "\n"
+    elif edit == "trailing-comment":
+        lines[301] = lines[301].rstrip("\n") + " # checked by hand\n"
+    elif edit == "crlf":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    else:
+        lines[-1] = lines[-1].rstrip("\n")
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(lines), newline="")
+    cols, _ = _read_snapshot_csv(str(path))
+    assert np.array_equal(cols.view(np.uint64), loadtxt_reader(path).view(np.uint64))
+    capsys.readouterr()
+    assert main(["compare", "--sim", str(path), "--manifest", str(manifest_path)]) == EXIT_OK
+    assert "warning: " in capsys.readouterr().err  # not the file the manifest records
 
 
 # ---------------------------------------------------------------- riemann

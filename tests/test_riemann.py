@@ -276,6 +276,15 @@ def test_gas_state_validation():
     assert s.sound_speed(1.4) == pytest.approx(math.sqrt(1.4 * s.pressure / s.rho))
 
 
+@pytest.mark.parametrize("state", [
+    (math.nan, 0.0, 1.0), (3.0, math.nan, 1.0), (3.0, 0.0, math.nan),
+    (math.inf, 0.0, 1.0), (3.0, math.inf, 1.0), (3.0, -math.inf, 1.0),
+    (3.0, 0.0, math.inf)], ids=str)
+def test_gas_state_rejects_non_finite_values(state):
+    with pytest.raises(ValueError, match="must be finite"):
+        GasState(*state)
+
+
 @given(rho_l=st.floats(0.2, 8.0), rho_r=st.floats(0.2, 8.0),
        u_l=st.floats(-0.8, 0.8), u_r=st.floats(-0.8, 0.8),
        th_l=st.floats(0.3, 2.5), th_r=st.floats(0.3, 2.5),
