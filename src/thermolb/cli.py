@@ -485,14 +485,16 @@ def _read_snapshot_csv(path: str):
             for rows in (group[i:i + step] for i in range(0, len(group), step)):
                 same[rows] = (text[comma[rows]] == text[comma[rows - 1]]).all(axis=1)
     heads = np.flatnonzero(~same)
-    # parse each block of consecutive run heads as one slice of the file
+    # parse each block of consecutive run heads as one slice of the file.
+    # The text stream hands loadtxt one line at a time, split at LF only,
+    # so a stray CR stays inside its line and loadtxt rejects it.
     edges = np.flatnonzero(np.diff(~same, prepend=False, append=False)).reshape(-1, 2)
     view = memoryview(data)
+    heads_text = b"".join(view[a:b] for a, b in zip(starts[edges[:, 0]].tolist(),
+                                                    (ends[edges[:, 1] - 1] + 1).tolist()))
     try:
-        values = _parse_rows("".join(
-            str(view[a:b], "utf-8") for a, b in zip(starts[edges[:, 0]].tolist(),
-                                                   (ends[edges[:, 1] - 1] + 1).tolist())
-        ).split("\n"))
+        values = _parse_rows(io.TextIOWrapper(io.BytesIO(heads_text), encoding="utf-8",
+                                              newline="\n"))
     except ValueError:
         for k in heads.tolist():  # name the first line that does not parse
             try:
@@ -503,7 +505,7 @@ def _read_snapshot_csv(path: str):
     return np.repeat(values[:, 1:], np.diff(heads, append=n), axis=0), digest
 
 
-def _parse_rows(lines: list[str]) -> np.ndarray:
+def _parse_rows(lines) -> np.ndarray:
     values = np.loadtxt(lines, delimiter=",", ndmin=2)
     if values.shape[1] != 5:  # a '#' comment can cut a row short
         raise ValueError(f"expected 5 fields, found {values.shape[1]}")
