@@ -442,9 +442,11 @@ def _read_snapshot_csv(path: str):
     ends = np.flatnonzero(buf == ord("\n"))
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # no final newline
-    header = data[:ends[0]].removesuffix(b"\r").decode().split(",")
-    if header != _SNAPSHOT_HEADER.rstrip("\n").split(","):
-        raise UsageError(f"{path}: unexpected snapshot header {header}")
+    header = data[:ends[0]].removesuffix(b"\r")
+    if header != _SNAPSHOT_HEADER.rstrip("\n").encode():
+        found = header[:40].decode(errors="replace") + ("..." if len(header) > 40 else "")
+        raise UsageError(f"{path} line 1: expected the header "
+                         f"{_SNAPSHOT_HEADER.rstrip()!r}, found {found!r}")
     starts, ends = ends[:-1] + 1, ends[1:]
     n = len(ends)
     if n == 0:

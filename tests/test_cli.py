@@ -514,6 +514,8 @@ def _edit_rows(lines, edit):
     elif edit == "carriage-return":
         cells = lines[301].split(",")
         lines[301] = ",".join([cells[0], cells[1] + "\r", *cells[2:]])
+    elif edit == "bare-cr-lines":
+        return "".join(lines).replace("\n", "\r")
     return "".join(lines)
 
 
@@ -530,6 +532,7 @@ def _edit_rows(lines, edit):
     ("six-fields", 302, "expected 5 fields, found 6"),
     ("not-a-number", 302, "could not convert string 'abc'"),
     ("carriage-return", 302, "newline"),
+    ("bare-cr-lines", 1, "expected the header 'X,rho,u,theta,p', found 'X,rho,u,theta,p\\r0,"),
 ])
 def test_compare_names_the_line_of_a_misread_snapshot(tmp_path, capsys, short_run, edit,
                                                       line, message):
