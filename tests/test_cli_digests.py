@@ -101,6 +101,20 @@ SIMULATOR_CASES = {
         {"stdout": EMPTY,
          "r.csv": "4c9b78770cc0330fcf4b44bf82e3c87412d83cca7a4d2017d791c63c0ef9f026",
          "r.json": "c9ac7019550b85656b2358566d5ccceb24299a6a66282e96c3b49f40bdade6ee"}),
+    # the mirrored pair: a right-going fan
+    "riemann-csv-mirrored": (
+        ["riemann", "--left", "1,0,1", "--right", "3,0,1", "--time", "150",
+         "--dx", "0.8", "--csv", "r.csv", "--out", "r.json"], EXIT_OK,
+        {"stdout": EMPTY,
+         "r.csv": "ddeb7a478eb0feef66a4099b5a3d8f289d7382a53b40966d1a2e58e65138546f",
+         "r.json": "c02062c1cbb6e5a5edf0227fd66002feb825465662a5050c7d801cb252a92c7d"}),
+    # two rarefactions: a fan on each side
+    "riemann-csv-two-rarefactions": (
+        ["riemann", "--left", "1,-0.3,1", "--right", "2,0.3,1.2", "--time", "150",
+         "--dx", "0.8", "--csv", "r.csv", "--out", "r.json"], EXIT_OK,
+        {"stdout": EMPTY,
+         "r.csv": "45cd94f63a48676a254fbe7a83e4fbb5ecbb0b0db04e84513c91080f373ccbfe",
+         "r.json": "e3e0c57b4d25dd4d706bba12ff9caf09f20c2691fe652e4d97c9fba774822481"}),
     "compare": (
         COMPARE, EXIT_OK,
         {"stdout": EMPTY,
