@@ -238,7 +238,7 @@ def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
         if r is None:
             return []
         return sorted(x for x in {(-b + r) / (2 * a), (-b - r) / (2 * a)} if x > 0)
-    ints, _ = clear_denominators(p)
+    ints = clear_denominators(p)
     while ints[0] == 0:
         ints = ints[1:]  # zero roots handled by caller; ints[-1] != 0
     nums = _small_divisors(ints[0])
@@ -346,24 +346,14 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
     return Fraction(a + b, 2 * den)
 
 
-def clear_denominators(p: Sequence[Fraction]):
-    """Scale to a primitive integer polynomial with positive leading
-    coefficient.  Returns (int_coeffs, scale) with int_coeffs == scale * p."""
-    p = trim(p)
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    scale = Fraction(den_lcm, content if content > 1 else 1)
+def clear_denominators(p: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of p with a positive leading
+    coefficient."""
+    ints = int_form(trim(p))
+    content = math.gcd(*ints) or 1  # 0 for the zero polynomial
     if ints[-1] < 0:
-        ints = [-c for c in ints]
-        scale = -scale
-    return ints, scale
+        content = -content
+    return [c // content for c in ints]
 
 
 def solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -31,7 +31,7 @@ from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, NoRealSolutionError,
                            build_polynomial, resolve_catalog, solve_model)
 from .riemann import GasState, VacuumError, sample_profile, solve_riemann
 from .simulator import (ShockTubeConfig, Snapshot, check_probes,
-                        extract_plateaus, run, stability_scan)
+                        extract_plateaus, min_nodes, run, stability_scan)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -209,9 +209,21 @@ def cmd_sweep(args) -> int:
     if tokens.count("?") != 1:
         raise UsageError("exactly one ratio slot must be '?' to sweep")
     free = tokens.index("?")
-    fixed = [Fraction(t) for i, t in enumerate(tokens) if i != free]
+    fixed = _parse_ratios(",".join(tokens[:free] + tokens[free + 1:]))
     grid = _parse_grid(args.grid)
-    q = 2 * (len(tokens) + 1) + 1
+    if args.inverse_grid and 0 in grid:
+        raise UsageError(f"--inverse-grid needs a grid without 0, got {args.grid!r}")
+    if args.residual_grid:
+        if not args.residual_out:
+            raise UsageError("--residual-grid needs --residual-out")
+        try:
+            lo_s, hi_s, n_s = args.residual_grid.split(":")
+            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        except ValueError as exc:
+            raise UsageError(f"bad residual grid {args.residual_grid!r}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi) and n >= 0):
+            raise UsageError(f"bad residual grid {args.residual_grid!r}: need finite "
+                             "lo and hi and n >= 0")
     rows = []
     max_branches = 0
     results = []
@@ -225,7 +237,7 @@ def cmd_sweep(args) -> int:
             ratios, models = None, []
         results.append((g, ratios, models))
         max_branches = max(max_branches, len(models))
-    k = (q - 1) // 2
+    k = len(fixed) + 2  # positive speeds: the base one and one per ratio slot
     header = ["param"]
     for b in range(max_branches):
         header.append(f"branch{b}_v2")
@@ -242,13 +254,6 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     _write_text(args.out, _csv_lines(header, rows))
     if args.residual_grid:
-        if not args.residual_out:
-            raise UsageError("--residual-grid needs --residual-out")
-        try:
-            lo_s, hi_s, n_s = args.residual_grid.split(":")
-            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        except ValueError as exc:
-            raise UsageError(f"bad residual grid {args.residual_grid!r}") from exc
         res_rows = []
         for g, ratios, _ in results:
             if ratios is None:
@@ -543,6 +548,10 @@ def cmd_compare(args) -> int:
         raise UsageError(f"manifest {args.manifest} has high_side {high!r}, "
                          "not 'left' or 'right'")
     nodes, interface, steps = counts["nodes"], counts["interface"], counts["final_step"]
+    if nodes < min_nodes(band) or not interface < nodes:
+        raise UsageError(f"manifest {args.manifest} has nodes {nodes} and interface "
+                         f"{interface}; band width {band} needs nodes >= "
+                         f"{min_nodes(band)} and 0 < interface < nodes")
     dx, rho_bar = scales["dx"], scales["rho_bar"]
     if len(sim) != nodes:
         raise UsageError(

@@ -103,8 +103,7 @@ def build_polynomial(ratios: RatioTuple) -> list[int]:
     coeffs[0] = -gaussian_moment_coefficient(2 * (k + 1))
     for j in range(k):
         coeffs[k - j] += c[j] * gaussian_moment_coefficient(2 * (j + 1))
-    ints, _ = rp.clear_denominators(coeffs)
-    return ints
+    return rp.clear_denominators(coeffs)
 
 
 def _solve_weights(ratios: RatioTuple, s: Fraction) -> list[Fraction]:

@@ -64,12 +64,6 @@ class Wave:
     head: float  # fastest characteristic speed of the wave
     tail: float  # slowest; equal to head for a shock
 
-    @property
-    def speed(self) -> float:
-        if self.kind != "shock":
-            raise ValueError("only shocks have a single speed")
-        return self.head
-
 
 @dataclass(frozen=True)
 class RiemannSolution:
@@ -194,70 +188,59 @@ def solve_riemann(left: GasState, right: GasState, gamma: float = GAMMA_DEFAULT,
                            right_wave=wave_r, iterations=iterations)
 
 
-def sample(solution: RiemannSolution, xi: float) -> GasState:
-    """Self-similar state at similarity coordinate xi = x / t."""
-    g = solution.gamma
-    if xi <= solution.u_star:  # left of the contact
-        state, wave = solution.left, solution.left_wave
-        rho_star, sign = solution.rho_star_left, -1
-    else:
-        state, wave = solution.right, solution.right_wave
-        rho_star, sign = solution.rho_star_right, +1
+def _fan(state: GasState, sign: int, g: float, xi: float):
+    """(rho, u, theta) at xi inside the rarefaction fan of state's wave
+    (sign -1 for the left wave, +1 for the right), on Python floats."""
     p, a = state.pressure, state.sound_speed(g)
-    # The region tests below are repeated, mask for mask, in
-    # sample_profile; a change here must be made there too.  head is the
-    # characteristic moving into the undisturbed state (a shock's speed),
-    # tail borders the star region; a shock has no fan, so everything
-    # behind its head is star state.
-    outside = xi < wave.head if sign < 0 else xi > wave.head
-    if outside:
-        return state
-    inside_star = wave.kind == "shock" or (xi > wave.tail if sign < 0 else xi < wave.tail)
-    if inside_star:
-        return GasState(rho_star, solution.u_star, 2.0 * solution.p_star / rho_star)
-    # inside the fan
     u = 2.0 / (g + 1.0) * (-sign * a + 0.5 * (g - 1.0) * state.u + xi)
     a_local = 2.0 / (g + 1.0) * (a - sign * 0.5 * (g - 1.0) * (state.u - xi))
     rho = state.rho * (a_local / a) ** (2.0 / (g - 1.0))
     p_local = p * (a_local / a) ** (2.0 * g / (g - 1.0))
-    return GasState(rho, u, 2.0 * p_local / rho)
+    return rho, u, 2.0 * p_local / rho
 
 
-def sample_profile(solution: RiemannSolution, positions: np.ndarray,
-                   time: float, origin: float = 0.0):
-    """Sampled (rho, u, theta) arrays at given physical positions and time.
+def sample(solution: RiemannSolution, xi: float) -> GasState:
+    """Self-similar state at similarity coordinate xi = x / t."""
+    rho, u, theta = sample_profile(solution, [xi], 1.0)
+    return GasState(float(rho[0]), float(u[0]), float(theta[0]))
 
-    time = 0 returns the initial discontinuity at the origin.  Every
-    position reads exactly what sample() gives for it: the region masks
-    repeat sample()'s tests in the same order (keep the two in step), the
-    constant regions take the same floats, and the few positions inside a
-    rarefaction fan go through sample().
+
+def sample_profile(solution: RiemannSolution, positions: np.ndarray, time: float):
+    """Sampled (rho, u, theta) arrays at given physical positions and time,
+    the initial discontinuity sitting at x = 0.
+
+    time = 0 returns the initial discontinuity.  The constant regions take
+    their states' floats; each position inside a rarefaction fan goes
+    through _fan on Python floats (np.power may round the last bit
+    differently from the scalar pow).
     """
     positions = np.asarray(positions, dtype=np.float64)
     if not time > 0.0:
-        left = positions < origin
+        left = positions < 0.0
         return tuple(np.where(left, getattr(solution.left, name),
                               getattr(solution.right, name))
                      for name in ("rho", "u", "theta"))
     with np.errstate(under="ignore"):  # a tiny xi rounds to its correct value
-        xi = (positions - origin) / time
+        xi = positions / time
     rho = np.empty_like(xi)
     u = np.empty_like(xi)
     theta = np.empty_like(xi)
-    left = xi <= solution.u_star
+    left = xi <= solution.u_star  # the contact belongs to the left side
     for side, state, wave, rho_star, sign in (
             (left, solution.left, solution.left_wave, solution.rho_star_left, -1),
             (~left, solution.right, solution.right_wave, solution.rho_star_right, +1)):
+        # head is the characteristic moving into the undisturbed state (a
+        # shock's speed), tail borders the star region; a shock has no fan,
+        # so everything behind its head is star state
         outside = side & ((xi < wave.head) if sign < 0 else (xi > wave.head))
         star = side & ~outside
-        if wave.kind != "shock":  # a shock has no fan: all of star is behind it
+        if wave.kind != "shock":
             star &= (xi > wave.tail) if sign < 0 else (xi < wave.tail)
         rho[outside], u[outside], theta[outside] = state.rho, state.u, state.theta
         rho[star], u[star] = rho_star, solution.u_star
         theta[star] = 2.0 * solution.p_star / rho_star
         for i in np.flatnonzero(side & ~outside & ~star):
-            s = sample(solution, xi[i])
-            rho[i], u[i], theta[i] = s.rho, s.u, s.theta
+            rho[i], u[i], theta[i] = _fan(state, sign, solution.gamma, float(xi[i]))
     return rho, u, theta
 
 
@@ -271,7 +254,7 @@ def shock_residuals(solution: RiemannSolution) -> dict[str, float]:
             ("right", solution.right, solution.right_wave, solution.rho_star_right, +1)):
         p_star, u_star = solution.p_star, solution.u_star
         if wave.kind == "shock":
-            s = wave.speed
+            s = wave.head
             m0 = state.rho * (state.u - s)
             m1 = rho_star * (u_star - s)
             out[f"{label}_mass"] = m1 - m0

@@ -40,6 +40,12 @@ from .model_solver import VelocityModel
 from .riemann import GasState, solve_riemann
 
 
+def min_nodes(band_width: int) -> int:
+    """Shortest lattice a shock tube runs on: four boundary bands, and
+    three nodes inside density_fluctuation's band_width + 1 margins."""
+    return max(4 * band_width, 2 * band_width + 5)
+
+
 @dataclass(frozen=True)
 class ShockTubeConfig:
     """Two-state shock tube with fixed equilibrium boundary bands.
@@ -74,9 +80,11 @@ class ShockTubeConfig:
         if not 0.5 <= self.tau < math.inf:
             raise ValueError(f"relaxation time must be finite and >= 1/2 "
                              f"(below 1/2 is unstable by design), got {self.tau}")
-        band = int(self.model.ratios.p[-1])
-        # density_fluctuation needs three nodes inside its band_width + 1 margins
-        least = max(4 * band, 2 * band + 5)
+        if self.snapshot_interval is not None and not (
+                isinstance(self.snapshot_interval, int) and self.snapshot_interval >= 1):
+            raise ValueError(f"snapshot interval must be None or an integer >= 1, "
+                             f"got {self.snapshot_interval!r}")
+        least = min_nodes(self.band_width)
         if self.nodes < least or not 0 < self.interface < self.nodes:
             raise ValueError(f"lattice too small for the boundary bands: need "
                              f"nodes >= {least} and 0 < interface < nodes, got "
@@ -306,8 +314,8 @@ def _light_cone(config: ShockTubeConfig, steps: int) -> tuple[ShockTubeConfig, n
     keeps its first reach nodes, one such far node and its last reach
     nodes; each node cut out maps to the far node kept."""
     b, nodes = config.band_width, config.nodes
-    # reach >= max(b, 2) keeps a cut lattice at least ShockTubeConfig's
-    # minimum of max(4 * b, 2 * b + 5) nodes long, also with one run empty
+    # reach >= max(b, 2) keeps a cut lattice at least min_nodes(b) nodes
+    # long, also with one run empty
     reach = max(b * steps, b, 2)
     mid = min(max(config.interface, b), nodes - b)
     kept = np.ones(nodes, dtype=bool)

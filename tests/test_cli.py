@@ -150,6 +150,29 @@ def test_sweep_usage_errors(tmp_path):
                  "--residual-grid", "0.4:0.7:4"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ratios", "1/0,?", "--grid", "2:3:1"], "bad ratio list '1/0'"),
+    (["--ratios", "?", "--grid", "0:2:1", "--inverse-grid"],
+     "--inverse-grid needs a grid without 0"),
+    (["--ratios", "2,?", "--grid", "3:4:1", "--residual-grid", "0:1:0"],
+     "--residual-grid needs --residual-out"),
+    (["--ratios", "2,?", "--grid", "3:4:1", "--residual-grid", "0:1:-1",
+      "--residual-out", "res.csv"], "bad residual grid '0:1:-1'"),
+    (["--ratios", "2,?", "--grid", "3:4:1", "--residual-grid", "0:inf:4",
+      "--residual-out", "res.csv"], "bad residual grid '0:inf:4'"),
+], ids=["zero-denominator", "inverse-of-zero", "residual-grid-without-out",
+        "negative-residual-count", "infinite-residual-bound"])
+def test_sweep_checks_its_inputs_before_solving(tmp_path, monkeypatch, capsys, flags,
+                                                message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("thermolb.cli.solve_model", lambda *a, **k: pytest.fail("solved"))
+    capsys.readouterr()
+    assert main(["sweep", "--out", "table.csv", *flags]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------- expand
 
 
@@ -347,6 +370,9 @@ def test_simulate_usage_errors(tmp_path):
     for flag, value in [("--rho-bar", "nan"), ("--tau", "nan"), ("--tau", "inf")]:
         argv, _, _ = simulate_args(tmp_path, "non_finite", flag, value)
         assert main(argv) == EXIT_USAGE, (flag, value)
+    for value in ("-1", "0"):
+        argv, _, _ = simulate_args(tmp_path, "bad_interval", "--snapshot-interval", value)
+        assert main(argv) == EXIT_USAGE, value
     argv, _, _ = simulate_args(tmp_path, "bad_steps", "--steps", "-5")
     assert main(argv) == EXIT_USAGE
     argv, _, _ = simulate_args(tmp_path, "bad_workers", "--workers", "0")
@@ -742,6 +768,28 @@ def test_compare_checks_the_manifest_config_before_use(tmp_path, capsys, edit):
                  "--manifest", str(manifest_path)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: manifest ")
+
+
+@pytest.mark.parametrize("nodes, interface", [(7, 3), (11, 5), (1000, 1000)])
+def test_compare_checks_the_lattice_size_before_use(tmp_path, monkeypatch, capsys, nodes,
+                                                    interface):
+    # q7's bands are 3 nodes wide: the simulator runs nothing below 12 nodes
+    csv_path, manifest_path = tmp_path / "s.csv", tmp_path / "m.json"
+    assert main(["simulate", "--model", "q7", "--kind", "taylor", "--order", "3",
+                 "--steps", "0", "--csv", str(csv_path),
+                 "--manifest", str(manifest_path)]) == EXIT_OK
+    manifest = load_json(manifest_path)
+    manifest["config"].update(nodes=nodes, interface=interface)
+    manifest_path.write_text(json.dumps(manifest))
+    csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:nodes + 1]))
+    monkeypatch.setattr("thermolb.cli.solve_riemann", lambda *a: pytest.fail("solved"))
+    capsys.readouterr()
+    assert main(["compare", "--sim", str(csv_path),
+                 "--manifest", str(manifest_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: manifest {manifest_path} has nodes {nodes} and "
+                                 f"interface {interface}; band width 3 needs nodes >= 12 "
+                                 "and 0 < interface < nodes\n")
 
 
 def test_compare_of_a_zero_step_run_is_at_time_zero(tmp_path, capsys):

@@ -24,7 +24,7 @@ from thermolb import (CATALOG, ExpansionSpec, ShockTubeConfig, expand,
                       init_shock_tube, moment_accuracy, resolve_catalog, step,
                       verify_moments)
 from thermolb.simulator import (_light_cone, check_health, default_step_count,
-                                density_fluctuation, run)
+                                density_fluctuation, min_nodes, run)
 
 MODELS = [entry.name for entry in CATALOG]
 EXPANSIONS = [ExpansionSpec("hermite", 3), ExpansionSpec("taylor", 3),
@@ -218,10 +218,7 @@ def test_run_equals_stepping_the_whole_lattice_bitwise():
         if data is None:
             nodes, interface, steps, interval = 20000, 9000, 40, 7
         else:
-            # ShockTubeConfig's minimum: four bands, and three nodes inside
-            # the fluctuation score's margins
-            nodes = data.draw(st.integers(max(4 * band, 2 * band + 5), 20000),
-                              label="nodes")
+            nodes = data.draw(st.integers(min_nodes(band), 20000), label="nodes")
             interface = data.draw(st.integers(1, nodes - 1), label="interface")
             # the default horizon only on lattices short enough to step it
             steps = data.draw(st.integers(0, 30) if nodes > 400

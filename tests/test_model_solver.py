@@ -345,13 +345,12 @@ def test_square_free_part():
 
 
 def test_clear_denominators():
-    ints, scale = rp.clear_denominators([Fraction(5, 12), Fraction(-5, 3), Fraction(1)])
-    assert ints == [5, -20, 12]
-    assert scale == 12
+    assert rp.clear_denominators([Fraction(5, 12), Fraction(-5, 3), Fraction(1)]) == [5, -20, 12]
     # sign normalization: leading coefficient positive
-    ints, scale = rp.clear_denominators([Fraction(1, 2), Fraction(-1, 3)])
-    assert ints[-1] > 0
-    assert [c / scale for c in ints] == [Fraction(1, 2), Fraction(-1, 3)]
+    assert rp.clear_denominators([Fraction(1, 2), Fraction(-1, 3)]) == [-3, 2]
+    # trailing zeros trimmed, content divided out; the zero polynomial stays
+    assert rp.clear_denominators([Fraction(4, 3), Fraction(-2, 3), Fraction(0)]) == [-2, 1]
+    assert rp.clear_denominators([Fraction(0)]) == [0]
 
 
 def test_solve_linear_exact():
@@ -425,7 +424,7 @@ def _reference_rational_roots(p):
         if r is None:
             return []
         return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)})
-    ints, _ = rp.clear_denominators(p)
+    ints = rp.clear_denominators(p)
     while ints and ints[0] == 0:
         ints = ints[1:]
     nums = _reference_divisors(ints[0])

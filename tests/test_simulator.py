@@ -83,6 +83,7 @@ def test_config_validation(q3, q5):
     good = dict(model=q5, expansion=TE2)
     ShockTubeConfig(**good, tau=0.5)  # boundary value is allowed
     ShockTubeConfig(**good, steps=0)
+    ShockTubeConfig(**good, snapshot_interval=1)
     ShockTubeConfig(model=q3, expansion=TE2, nodes=7, interface=3)
     bad_fields = [
         dict(rho_bar=0.0),
@@ -100,6 +101,10 @@ def test_config_validation(q3, q5):
         dict(interface=0),
         dict(interface=1000),
         dict(steps=-1),
+        # n % -1 == 0 would snapshot every step, and 0 would mean "final only"
+        dict(snapshot_interval=0),
+        dict(snapshot_interval=-1),
+        dict(snapshot_interval=2.5),
     ]
     for fields in bad_fields:
         with pytest.raises(ValueError):
