@@ -38,6 +38,15 @@ CASES = {
          "--residual-grid", "0.2:1.2:5", "--residual-out", "res.csv"], EXIT_OK,
         {"stdout": "cd84eb2d150903f8a3339e2274c9b9a30b7e9071d7cf765decf5b3f7d2ee5a49",
          "res.csv": "085d6c947526bb733a79765e966d1f4f4f3ce825e257dfd0e05c83048f92e1b6"}),
+    "expand-taylor3": (
+        ["expand", "--kind", "taylor", "--order", "3"], EXIT_OK,
+        {"stdout": "3cea93839dfeb7c2a4b896dd5bb810f23a4f13d9df8653a9476a2bef37eef7e9"}),
+    "expand-hermite10": (
+        ["expand", "--kind", "hermite", "--order", "10"], EXIT_OK,
+        {"stdout": "1816aafdca5470ccf079723329d23febc8a5f4d41a1c99f14d3b0712ace7f06f"}),
+    "expand-taylor5-theta0": (
+        ["expand", "--kind", "taylor", "--order", "5", "--theta0", "3/2"], EXIT_OK,
+        {"stdout": "76d183abbebf53b78629051f211a1c11e3e8d72ceb12935cea2e7c28a40da2be"}),
     "catalog-regenerate": (
         ["catalog", "--regenerate"], EXIT_OK,
         {"stdout": "edf1ae67e4a84f864f38f0def42d4d070c20e58cac47eff7a69bdd549874cd04"}),
