@@ -92,6 +92,17 @@ def _csv_lines(header: list[str], rows) -> str:
     return "\n".join(out) + "\n"
 
 
+def _threshold(text: str) -> float:
+    """argparse type of the threshold flags: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return value
+
+
 def _parse_ratios(text: str | None) -> list[Fraction]:
     if not text:
         return []
@@ -107,7 +118,7 @@ def _parse_expansion(kind: str, order: int, theta0: str = "1") -> ExpansionSpec:
     if k is None:
         raise UsageError(f"unknown expansion kind {kind!r} (use taylor or hermite)")
     try:
-        return ExpansionSpec(k, order, Fraction(theta0))
+        return ExpansionSpec(k, order, theta0)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -651,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of velocities (odd, >= 3); implies ratio count")
     p.add_argument("--ratios", default="",
                    help="comma list of speed ratios beyond the base (e.g. 2,3)")
-    p.add_argument("--ghost-threshold", type=float, default=1e-4)
+    p.add_argument("--ghost-threshold", type=_threshold, default=1e-4)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_derive)
 
@@ -678,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="catalog name or model JSON path")
     p.add_argument("--kind", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_threshold, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -721,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="manifest JSON from simulate")
     p.add_argument("--probe-low", type=int, default=430)
     p.add_argument("--probe-high", type=int, default=650)
-    p.add_argument("--max-plateau-diff", type=float, default=None,
+    p.add_argument("--max-plateau-diff", type=_threshold, default=None,
                    help="exit 3 if any plateau field differs by more")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)

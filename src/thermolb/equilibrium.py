@@ -5,21 +5,30 @@ The local equilibrium populations are
 
     f_i^eq = rho * wbar_i * P(v_i; u, theta)
 
-where P is the unique polynomial such that exp(-v**2) * P / sqrt(pi)
-truncates the Maxwell-Boltzmann density around the rest state (u = 0,
-theta = theta0).  Two truncation rules are supported for an expansion of
-order N, both built from the same exact bivariate Taylor coefficients
-c_{a,b}(v) of the density in (u, theta - theta0):
+where P is the unique polynomial such that exp(-v**2/theta0) * P /
+sqrt(pi*theta0) truncates the Maxwell-Boltzmann density around the rest
+state (u = 0, theta = theta0; the lattice evaluates theta0 = 1).  The
+density g = exp(-(v - u)**2 / theta) / sqrt(pi * theta) obeys dg/du =
+-dg/dv and the heat equation dg/dtheta = (1/4) d2g/dv2, so every (u, t =
+theta - theta0) derivative at the rest state is a v-derivative of the
+rest Gaussian, that is a Hermite function.  The u**a t**b coefficient of
+P is, in closed form, with n = a + 2b,
+
+    c_ab(v) = theta0**(-n/2) * H_n(v / sqrt(theta0)) / (a! b! 4**b)
+
+where H_n is the physicists' Hermite polynomial.  Two truncation rules
+are supported for an expansion of order N (ExpansionSpec.keeps):
 
   * "taylor":  keep terms with a + b <= N      (v-degree up to 2N)
-  * "hermite": keep terms with a + 2b <= N     (v-degree up to N),
-    equivalent to expanding jointly in u and sigma = sqrt(|theta - 1|)
-    with both treated as the same order of smallness.
+  * "hermite": keep terms with a + 2b <= N     (v-degree up to N), which
+    keeps exactly the H_n with n <= N; this is the expansion in u and
+    sigma = sqrt(|theta - theta0|) with both of the same order.
 
 All coefficients are exact rationals; floats appear only in evaluation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,15 +57,20 @@ class ExpansionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.order < 1:
-            raise ValueError(f"expansion order must be >= 1, got {self.order}")
-        if self.theta0 <= 0:
-            raise ValueError(f"base temperature must be positive, got {self.theta0}")
-        object.__setattr__(self, "theta0", Fraction(self.theta0))
+        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
+            raise ValueError(f"expansion order must be an integer >= 1, got {self.order!r}")
+        theta0 = Fraction(self.theta0)
+        if theta0 <= 0:
+            raise ValueError(f"base temperature must be positive, got {theta0}")
+        object.__setattr__(self, "theta0", theta0)
 
     @property
     def label(self) -> str:
         return f"{self.kind}:{self.order}"
+
+    def keeps(self, a: int, b: int) -> bool:
+        """Whether the truncation keeps the u**a * t**b terms."""
+        return a + (b if self.kind == KIND_TAYLOR else 2 * b) <= self.order
 
 
 @dataclass(frozen=True)
@@ -79,78 +93,26 @@ class EquilibriumPolynomial:
                 for (kv, ku, kt), c in sorted(self.terms.items())]
 
 
-def _series_mul(p: dict[Key, Fraction], q: dict[Key, Fraction],
-                order: int) -> dict[Key, Fraction]:
-    """Product truncated at total (u, t) order <= order."""
-    out: dict[Key, Fraction] = {}
-    for (v1, u1, t1), c1 in p.items():
-        for (v2, u2, t2), c2 in q.items():
-            if u1 + u2 + t1 + t2 > order:
-                continue
-            key = (v1 + v2, u1 + u2, t1 + t2)
-            acc = out.get(key, Fraction(0)) + c1 * c2
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _bivariate_coefficients(order: int, theta0: Fraction) -> dict[Key, Fraction]:
-    """Exact Taylor data of the Maxwell-Boltzmann density about the rest
-    state, complete through total (u, t) order <= order.
-
-    Returns the polynomial G with  f_MB = (pi*theta0)**(-1/2)
-    * exp(-v**2/theta0) * G(v, u, t) + O((u,t)**(order+1)).
-    """
-    theta0 = Fraction(theta0)
-    # 1/(theta0 + t) as a series in t
-    inv = {(0, 0, k): Fraction((-1) ** k) / theta0 ** (k + 1)
-           for k in range(order + 1)}
-    # exponent E = v**2 (1/theta0 - inv) + (2 u v - u**2) inv; the t**0
-    # part of the v**2 term cancels exactly, so E has no constant term.
-    e: dict[Key, Fraction] = {}
-    for (_, _, k), c in inv.items():
-        if k > 0:
-            e[(2, 0, k)] = -c
-        if k < order:
-            e[(1, 1, k)] = 2 * c
-    for (_, _, k), c in inv.items():
-        if k + 2 <= order:
-            e[(0, 2, k)] = e.get((0, 2, k), Fraction(0)) - c
-    # exp(E) truncated; E has minimum (u, t) order 1 so N terms suffice
-    result: dict[Key, Fraction] = {(0, 0, 0): Fraction(1)}
-    power: dict[Key, Fraction] = {(0, 0, 0): Fraction(1)}
-    for n in range(1, order + 1):
-        power = _series_mul(power, e, order)
-        inv_fact = Fraction(1, math.factorial(n))
-        for key, c in power.items():
-            acc = result.get(key, Fraction(0)) + c * inv_fact
-            if acc:
-                result[key] = acc
-            elif key in result:
-                del result[key]
-    # prefactor (1 + t/theta0)**(-1/2)
-    pref = {(0, 0, k): Fraction((-1) ** k * math.comb(2 * k, k),
-                                4 ** k) / theta0 ** k
-            for k in range(order + 1)}
-    return _series_mul(result, pref, order)
-
-
-_EXPANSION_CACHE: dict[tuple[str, int, Fraction], EquilibriumPolynomial] = {}
-
-
+@functools.cache
 def expand(spec: ExpansionSpec) -> EquilibriumPolynomial:
-    """Build (and cache) the truncated equilibrium polynomial for a spec."""
-    key = (spec.kind, spec.order, spec.theta0)
-    if key not in _EXPANSION_CACHE:
-        full = _bivariate_coefficients(spec.order, spec.theta0)
-        if spec.kind == KIND_TAYLOR:
-            kept = full
-        else:
-            kept = {k: c for k, c in full.items() if k[1] + 2 * k[2] <= spec.order}
-        _EXPANSION_CACHE[key] = EquilibriumPolynomial(spec=spec, terms=dict(kept))
-    return _EXPANSION_CACHE[key]
+    """The truncated equilibrium polynomial of a spec, built once per spec.
+
+    With n = a + 2b, the v**(n - 2k) term of c_ab(v) is
+    (-1)**k n! 2**(n - 2k) / (k! (n - 2k)! theta0**(n - k) a! b! 4**b).
+    """
+    fact = math.factorial
+    terms: dict[Key, Fraction] = {}
+    for a in range(spec.order + 1):
+        for b in range(spec.order + 1):
+            if not spec.keeps(a, b):
+                continue
+            n = a + 2 * b
+            scale = Fraction(fact(n), fact(a) * fact(b) * 4**b)
+            for k in range(n // 2 + 1):
+                terms[(n - 2 * k, a, b)] = (
+                    scale * (-1) ** k * 2 ** (n - 2 * k)
+                    / (fact(k) * fact(n - 2 * k) * spec.theta0 ** (n - k)))
+    return EquilibriumPolynomial(spec=spec, terms=terms)
 
 
 def moment_accuracy(model: VelocityModel, spec: ExpansionSpec) -> int:
@@ -161,10 +123,7 @@ def moment_accuracy(model: VelocityModel, spec: ExpansionSpec) -> int:
     m <= N on the expansion side; may be negative when the expansion
     outruns the model's quadrature accuracy.
     """
-    n = spec.order
-    if spec.kind == KIND_TAYLOR:
-        return min(n, model.q + 2 - 2 * n)
-    return min(n, model.q + 2 - n)
+    return min(spec.order, model.q + 2 - expand(spec).v_degree)
 
 
 def _mb_moment_series(m: int, spec: ExpansionSpec) -> dict[tuple[int, int], Fraction]:
@@ -177,13 +136,10 @@ def _mb_moment_series(m: int, spec: ExpansionSpec) -> dict[tuple[int, int], Frac
         base = math.comb(m, k) * gaussian_moment_coefficient(k)
         j = k // 2  # theta power
         for ell in range(j + 1):
-            coef = base * math.comb(j, ell) * theta0 ** (j - ell)
             a, b = m - k, ell
-            if spec.kind == KIND_TAYLOR and a + b > spec.order:
-                continue
-            if spec.kind == KIND_HERMITE and a + 2 * b > spec.order:
-                continue
-            out[(a, b)] = out.get((a, b), Fraction(0)) + coef
+            if spec.keeps(a, b):
+                coef = base * math.comb(j, ell) * theta0 ** (j - ell)
+                out[(a, b)] = out.get((a, b), Fraction(0)) + coef
     return out
 
 
@@ -325,8 +281,11 @@ def verify_moments(model: VelocityModel, poly: EquilibriumPolynomial,
 
     For every m up to moment_accuracy and every (rho, u, theta) sample,
     the discrete sum sum_i v_i**m f_i^eq must match the truncated
-    Maxwell-Boltzmann moment to the given absolute tolerance.
+    Maxwell-Boltzmann moment to the given absolute tolerance, a finite
+    number >= 0.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     spec = poly.spec
     m_max = moment_accuracy(model, spec)
     evaluator = DiscreteEquilibrium(model, poly)

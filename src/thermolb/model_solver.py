@@ -343,10 +343,10 @@ def detect_ghosts(model: VelocityModel,
 
     Near-zero weights mark speeds that barely participate in the
     quadrature; models carrying them are exact in principle but fragile
-    in simulation.  threshold = 0 flags nothing.
+    in simulation.  threshold = 0 flags nothing; it must be finite.
     """
-    if threshold < 0:
-        raise ValueError(f"ghost threshold must be nonnegative, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"ghost threshold must be a finite number >= 0, got {threshold}")
     return tuple(abs(w) < threshold for w in model.weights_normalized)
 
 

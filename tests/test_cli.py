@@ -259,6 +259,26 @@ def test_verify_failure_uses_the_expectation_exit_code(tmp_path):
     assert payload["max_abs_error"] > 1e-10
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "x"])
+@pytest.mark.parametrize("argv, flag, first_step", [
+    (["derive", "--ratios", "2"], "--ghost-threshold", "solve_model"),
+    (["verify", "--model", "q5", "--kind", "hermite", "--order", "3"], "--tolerance",
+     "_load_model"),
+    (["compare", "--sim", "s.csv", "--manifest", "m.json"], "--max-plateau-diff",
+     "_read_snapshot_csv"),
+], ids=["derive", "verify", "compare"])
+def test_threshold_flags_are_checked_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                     flag, first_step, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(f"thermolb.cli.{first_step}", lambda *a, **k: pytest.fail("ran"))
+    capsys.readouterr()
+    assert main(argv + ["--out", "o.json", f"{flag}={value}"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: need a finite number >= 0, got '{value}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_reference_accepts_a_derive_file(tmp_path, capsys):
     model_file = tmp_path / "m.json"
     assert main(["derive", "--q", "5", "--ratios", "3",

@@ -1,11 +1,13 @@
 """Equilibrium expansions and the discrete moment-matching guarantee.
 
-Oracle: expansion coefficients are mixed partial derivatives of the
+Oracles: expansion coefficients are mixed partial derivatives of the
 exact density ratio R(v, u, t) = sqrt(t0/(t0+t)) exp(v^2/t0 -
 (v-u)^2/(t0+t)) at (u, t) = (0, 0).  mpmath computes them to ~30
 significant digits, far beyond the 1e-6 relative bar used here; the
 small frozen tables below were checked against that oracle before being
-committed.
+committed.  Exactly, the whole table must equal the product of truncated
+Fraction series of exp(E) and the (1 + t/t0)**(-1/2) prefactor, built
+here without the Hermite closed form that expand uses.
 """
 
 import math
@@ -52,6 +54,67 @@ def oracle_coefficient(v, a, b, theta0=1.0):
         return float(d / (mpmath.factorial(a) * mpmath.factorial(b)))
 
 
+def _series_mul(p, q, order):
+    """Product of two (v, u, t) series truncated at total (u, t) order."""
+    out = {}
+    for (v1, u1, t1), c1 in p.items():
+        for (v2, u2, t2), c2 in q.items():
+            if u1 + u2 + t1 + t2 > order:
+                continue
+            key = (v1 + v2, u1 + u2, t1 + t2)
+            acc = out.get(key, Fraction(0)) + c1 * c2
+            if acc:
+                out[key] = acc
+            elif key in out:
+                del out[key]
+    return out
+
+
+def series_oracle(kind, order, theta0):
+    """The exact expansion table as truncated series: the density is
+    (pi*theta0)**(-1/2) exp(-v**2/theta0) * exp(E) * (1 + t/theta0)**(-1/2)
+    with E = v**2 (1/theta0 - 1/(theta0 + t)) + (2 u v - u**2) / (theta0 + t)."""
+    theta0 = Fraction(theta0)
+    # 1/(theta0 + t) as a series in t
+    inv = {(0, 0, k): Fraction((-1) ** k) / theta0 ** (k + 1) for k in range(order + 1)}
+    # the t**0 part of the v**2 term cancels exactly, so E has no constant term
+    e = {}
+    for (_, _, k), c in inv.items():
+        if k > 0:
+            e[(2, 0, k)] = -c
+        if k < order:
+            e[(1, 1, k)] = 2 * c
+    for (_, _, k), c in inv.items():
+        if k + 2 <= order:
+            e[(0, 2, k)] = e.get((0, 2, k), Fraction(0)) - c
+    # exp(E) truncated; E has minimum (u, t) order 1 so N terms suffice
+    result = {(0, 0, 0): Fraction(1)}
+    power = {(0, 0, 0): Fraction(1)}
+    for n in range(1, order + 1):
+        power = _series_mul(power, e, order)
+        for key, c in power.items():
+            acc = result.get(key, Fraction(0)) + c / math.factorial(n)
+            if acc:
+                result[key] = acc
+            elif key in result:
+                del result[key]
+    pref = {(0, 0, k): Fraction((-1) ** k * math.comb(2 * k, k), 4 ** k) / theta0 ** k
+            for k in range(order + 1)}
+    full = _series_mul(result, pref, order)
+    if kind == "taylor":
+        return full
+    return {k: c for k, c in full.items() if k[1] + 2 * k[2] <= order}
+
+
+@pytest.mark.parametrize("theta0", [Fraction(1), Fraction(3, 2), Fraction(1, 3),
+                                    Fraction(7, 5), Fraction(2)], ids=str)
+@pytest.mark.parametrize("kind", ["taylor", "hermite"])
+def test_closed_form_equals_the_series_oracle_exactly(kind, theta0):
+    for order in range(1, 11):
+        spec = ExpansionSpec(kind, order, theta0)
+        assert expand(spec).terms == series_oracle(kind, order, theta0), spec.label
+
+
 def poly_coefficient_at(poly, v, a, b):
     """Coefficient of u^a t^b of the expansion, evaluated at velocity v."""
     tot = Fraction(0)
@@ -88,6 +151,10 @@ def test_truncation_rules():
     he3 = expand(ExpansionSpec("hermite", 3))
     for (_, a, b) in he3.terms:
         assert a + 2 * b <= 3
+    pairs = [(a, b) for a in range(5) for b in range(5)]
+    assert [p for p in pairs if te3.spec.keeps(*p)] == [p for p in pairs if sum(p) <= 3]
+    assert [p for p in pairs if he3.spec.keeps(*p)] == \
+        [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0)]
 
 
 # ------------------------------------------------------------ frozen tables
@@ -143,6 +210,24 @@ def test_expansion_spec_validation():
     assert ExpansionSpec(kind="hermite", order=4).label == "hermite:4"
 
 
+@pytest.mark.parametrize("order", [2.5, True, "3", 3.0, None], ids=repr)
+def test_expansion_order_must_be_an_int(order):
+    with pytest.raises(ValueError, match="expansion order must be an integer >= 1"):
+        ExpansionSpec("taylor", order)
+
+
+@pytest.mark.parametrize("theta0", ["3/2", 1.5, Fraction(3, 2)], ids=repr)
+def test_base_temperature_is_converted_before_the_sign_test(theta0):
+    spec = ExpansionSpec("taylor", 2, theta0)
+    assert type(spec.theta0) is Fraction and spec.theta0 == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("theta0", ["-3/2", "0", -1], ids=repr)
+def test_base_temperature_must_be_positive(theta0):
+    with pytest.raises(ValueError, match="base temperature must be positive"):
+        ExpansionSpec("taylor", 2, theta0)
+
+
 # --------------------------------------------------- moment-match guarantee
 
 @pytest.mark.parametrize("model_name,kind,order,m_max", COMBOS)
@@ -180,6 +265,12 @@ def test_discrete_sum_equals_truncated_integral(model_name, kind, order,
         assert discrete == pytest.approx(cont, rel=1e-12, abs=1e-13), m
         assert truncated_mb_moment(m, poly.spec, rho, u, theta) == \
             pytest.approx(cont, rel=1e-12, abs=1e-13), m
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf], ids=str)
+def test_verify_moments_rejects_a_bad_tolerance(q5, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        verify_moments(q5, expand(ExpansionSpec("hermite", 3)), tolerance=tolerance)
 
 
 def test_guarantee_is_sharp(q5):

@@ -241,6 +241,12 @@ def test_ghost_branch_limit():
     assert detect_ghosts(plus)[-1]
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1e-4, math.inf], ids=str)
+def test_detect_ghosts_rejects_a_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="ghost threshold must be a finite number >= 0"):
+        detect_ghosts(resolve_catalog("q5"), threshold)
+
+
 @given(st.fractions(min_value=Fraction(1, 60), max_value=Fraction(9, 20)))
 @settings(max_examples=40, deadline=None)
 def test_closed_form_property(r):
