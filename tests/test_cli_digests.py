@@ -66,6 +66,7 @@ Q7_TAYLOR3 = SIMULATE + ["q7", "--kind", "taylor", "--order", "3"]
 Q5_HERMITE3 = SIMULATE + ["q5", "--kind", "hermite", "--order", "3"]
 # a lattice long enough that run() steps a shortened copy of it
 LONG_TUBE = ["--nodes", "20000", "--interface", "9000", "--steps", "40"]
+SCAN_GROUPS = ["stability-scan", "--rho-bars", "3,11", "--taus", "1,0.8", "--models"]
 COMPARE = ["compare", "--sim", "s.csv", "--manifest", "m.json", "--out", "c.json"]
 
 SIMULATOR_CASES = {
@@ -143,6 +144,16 @@ SIMULATOR_CASES = {
          "--rho-bars", "3,11", "--taus", "1,0.8", "--nodes", "400"], EXIT_OK,
         {"stdout":
          "adcac7e444380f58ff06b8596afc865058dac5b621e33f5a433b2bba002e7623"}),
+    # two scans, each group mixing tau 1 and 0.8 and stable and failing rows:
+    # cut.csv steps 30 steps on light cones cut from 20000 nodes; scan.csv
+    # takes the default horizons, which differ by density, fails by density
+    # and by velocity, and keeps q21 taylor:5 at rho 11 stable only at tau 1
+    "stability-scan-groups": (
+        SCAN_GROUPS + ["q5,q21", "--expansions", "taylor:5", "--nodes", "1000",
+                       "--out", "scan.csv"], EXIT_OK,
+        {"stdout": EMPTY,
+         "cut.csv": "ac7053d6010300c8a7504832425efd31cbc2beda0943ba98eec55c0374efeffe",
+         "scan.csv": "a612bf5fe4f66b07f32d6ac7e9a5aad7555020c97faa5d026e6b017d1cccf2f7"}),
 }
 
 
@@ -159,7 +170,10 @@ def _no_final_newline(tmp_path):
 # what writes a case's inputs: an argv that must exit 0, or an edit of the
 # files written so far
 PRELUDES = {"compare": [Q7_TAYLOR3], "compare-crlf": [Q7_TAYLOR3, _crlf],
-            "compare-no-final-newline": [Q7_TAYLOR3, _no_final_newline]}
+            "compare-no-final-newline": [Q7_TAYLOR3, _no_final_newline],
+            "stability-scan-groups": [
+                SCAN_GROUPS + ["q5,q7", "--expansions", "hermite:3", "--nodes", "20000",
+                               "--steps", "30", "--out", "cut.csv"]]}
 
 
 def _sha256(data: bytes) -> str:
