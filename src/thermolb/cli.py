@@ -28,7 +28,8 @@ from ._ratpoly import eval_float
 from .equilibrium import ExpansionSpec, expand, verify_moments
 from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, NoRealSolutionError,
                            RatioTuple, VelocityModel, _moment_residual,
-                           build_polynomial, resolve_catalog, solve_model)
+                           build_polynomial, derive_catalog_model,
+                           resolve_catalog, solve_model)
 from .riemann import GasState, VacuumError, sample_profile, solve_riemann
 from .simulator import (ShockTubeConfig, Snapshot, check_probes,
                         extract_plateaus, min_nodes, run, stability_scan)
@@ -640,7 +641,7 @@ def cmd_catalog(args) -> int:
             "note": entry.note,
         }
         if args.regenerate:
-            model = resolve_catalog(entry.name)
+            model = derive_catalog_model(entry.name)
             item["model"] = model.to_json_dict()
             item["v2_error"] = abs(model.v2 - entry.v2_reference)
         payload.append(item)
@@ -747,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--workers", type=int, default=None,
                    help="checked to be >= 1 (default: THERMOLB_WORKERS or 1); "
-                        "the runs execute one after another on one core")
+                        "the scan steps its batched groups on one core")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability_scan)
 

@@ -59,7 +59,11 @@ class ExpansionSpec:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 1:
             raise ValueError(f"expansion order must be an integer >= 1, got {self.order!r}")
-        theta0 = Fraction(self.theta0)
+        try:
+            theta0 = Fraction(self.theta0)
+        except (OverflowError, ValueError) as exc:  # inf, nan, or not a number
+            raise ValueError(f"base temperature must be a finite rational, "
+                             f"got {self.theta0!r}") from exc
         if theta0 <= 0:
             raise ValueError(f"base temperature must be positive, got {theta0}")
         object.__setattr__(self, "theta0", theta0)

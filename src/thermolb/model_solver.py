@@ -14,6 +14,7 @@ final float conversion is done in exact rational arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -377,7 +378,7 @@ def catalog_names() -> list[str]:
     return [e.name for e in CATALOG]
 
 
-def resolve_catalog(name: str) -> VelocityModel:
+def derive_catalog_model(name: str) -> VelocityModel:
     """Re-derive a catalog model and pick the branch nearest the reference
     base speed."""
     for entry in CATALOG:
@@ -387,3 +388,10 @@ def resolve_catalog(name: str) -> VelocityModel:
                 raise RuntimeError(f"catalog model {name} has no real solution")
             return min(models, key=lambda m: abs(m.v2 - entry.v2_reference))
     raise KeyError(f"unknown catalog model {name!r}; known: {catalog_names()}")
+
+
+@functools.cache
+def resolve_catalog(name: str) -> VelocityModel:
+    """The catalog model `name`, derived once per process
+    (derive_catalog_model); a VelocityModel is frozen, so callers share it."""
+    return derive_catalog_model(name)

@@ -11,6 +11,12 @@ with the first (the wrapped-around columns land inside the boundary
 bands, which are rewritten right after), the two band columns computed
 once per run, and the moments.
 
+A lattice may hold several tubes of one model, expansion and length laid
+end to end, each with its own bands, relaxation time and horizon; what
+one tube's stream spills into the next lands in that tube's band and is
+overwritten.  stability_scan steps the rows of a model and expansion
+this way, and run() is the one-tube case of the same runner.
+
 run() steps only the light cone of the tube.  A population hops at
 most band_width nodes per step, so after T steps a node has seen only
 what lay within band_width * T of it; far from the interface and the two
@@ -31,13 +37,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .equilibrium import DiscreteEquilibrium, ExpansionSpec, expand
 from .model_solver import VelocityModel
 from .riemann import GasState, solve_riemann
+
+
+# Most nodes stepped as one batched lattice.  A step over a 1000-node tube
+# is mostly numpy call overhead; the equilibrium costs least per node near
+# 12000 nodes (q7 taylor:3: 188 ns at 1000, 42 ns at 12000 and 78 ns at
+# 1e5, where the arrays leave the cache).
+_BATCH_NODES = 12000
 
 
 def min_nodes(band_width: int) -> int:
@@ -119,7 +132,7 @@ class LatticeState:
     populations across a step must copy state.f.
     """
 
-    f: np.ndarray  # populations, shape (q, nodes)
+    f: np.ndarray  # populations, shape (q, nodes), tube after tube
     rho: np.ndarray
     u: np.ndarray
     theta: np.ndarray
@@ -155,20 +168,56 @@ class StabilityVerdict:
 
 class _Kernel:
     """Per-run compiled pieces: velocity tables, the equilibrium
-    evaluator, the two boundary-band columns and the work buffers."""
+    evaluator, each tube's two boundary-band columns and relaxation rate,
+    and the work buffers."""
 
-    def __init__(self, config: ShockTubeConfig):
-        model = config.model
-        self.eq = DiscreteEquilibrium(model, expand(config.expansion))
+    def __init__(self, configs: Sequence[ShockTubeConfig]):
+        first = configs[0]
+        layout = (first.model, first.expansion, first.nodes, first.interface)
+        if any((c.model, c.expansion, c.nodes, c.interface) != layout for c in configs):
+            raise ValueError("tubes of one lattice must share model, expansion, "
+                             "nodes and interface")
+        self.eq = DiscreteEquilibrium(first.model, expand(first.expansion))
         self.v_plus = self.eq.v_plus  # positive speeds
         self.v_plus_sq = self.v_plus * self.v_plus
-        self.hops = model.hops()
-        self.omega = 1.0 / config.tau
-        ls, rs = config.left_state, config.right_state
-        self.left_band = self.eq.populations(ls.rho, ls.u, ls.theta)[:, None]
-        self.right_band = self.eq.populations(rs.rho, rs.u, rs.theta)[:, None]
-        self.feq = np.empty((model.q, config.nodes))
-        self.spare = np.empty((model.q, config.nodes))
+        self.hops = first.model.hops()
+        self.nodes = first.nodes  # of each tube
+
+        def band(state: GasState) -> np.ndarray:
+            return self.eq.populations(state.rho, state.u, state.theta)
+
+        # one column per tube
+        self.left_band = np.stack([band(c.left_state) for c in configs], axis=1)
+        self.right_band = np.stack([band(c.right_state) for c in configs], axis=1)
+        self.omega = np.array([1.0 / c.tau for c in configs])
+        self._resize()
+
+    @property
+    def tubes(self) -> int:
+        return len(self.omega)
+
+    def _resize(self) -> None:
+        """Per-node relaxation factors and work buffers for the tubes kept."""
+        omega = np.repeat(self.omega, self.nodes)
+        unit = omega == 1.0
+        self.relax = None if unit.all() else (1.0 - omega, omega,
+                                              unit if unit.any() else None)
+        self.feq = np.empty((len(self.hops), omega.size))
+        self.spare = np.empty_like(self.feq)
+
+    def keep(self, state: LatticeState, kept: np.ndarray) -> None:
+        """Cut every tube whose entry in the boolean kept is False out of
+        state's fields and the kernel's tables."""
+        def cut(a: np.ndarray) -> np.ndarray:
+            lead = a.shape[:-1]
+            return a.reshape(*lead, self.tubes, self.nodes)[..., kept, :].reshape(*lead, -1)
+
+        state.f, state.rho, state.u, state.theta = map(
+            cut, (state.f, state.rho, state.u, state.theta))
+        self.left_band = self.left_band[:, kept]
+        self.right_band = self.right_band[:, kept]
+        self.omega = self.omega[kept]
+        self._resize()
 
     def macro_into(self, f: np.ndarray, rho: np.ndarray, u: np.ndarray,
                    theta: np.ndarray) -> None:
@@ -194,15 +243,20 @@ class _Kernel:
         theta[:] = th
 
     def collide(self, state: LatticeState) -> np.ndarray:
-        """Post-collision populations.  tau = 1 gives the equilibrium
-        itself, which is what (1 - 1) * f + 1 * feq equals for finite f;
-        otherwise state.f is relaxed in place and returned."""
+        """Post-collision populations.  A tube with tau = 1 takes the
+        equilibrium itself, which is what (1 - 1) * f + 1 * feq equals for
+        finite f up to the sign of a zero.  Unless every tube has tau = 1,
+        state.f is relaxed in place, the tau = 1 nodes overwritten by feq,
+        and returned."""
         feq = self.eq.populations(state.rho, state.u, state.theta, out=self.feq)
-        if self.omega == 1.0:
+        if self.relax is None:
             return feq
-        state.f *= 1.0 - self.omega
-        feq *= self.omega
+        keep, omega, unit = self.relax
+        state.f *= keep
+        feq *= omega
         state.f += feq
+        if unit is not None:
+            np.copyto(state.f, feq, where=unit)
         return state.f
 
     def stream(self, post: np.ndarray, dst: np.ndarray) -> None:
@@ -218,14 +272,18 @@ class _Kernel:
                 dst[i] = post[i]
 
 
-def init_shock_tube(config: ShockTubeConfig) -> LatticeState:
-    """Equilibrium initialization of the two-state tube, carrying the
-    run's kernel, which is built here once."""
-    kernel = _Kernel(config)
-    q, n = config.model.q, config.nodes
-    f = np.empty((q, n))
-    f[:, :config.interface] = kernel.left_band
-    f[:, config.interface:] = kernel.right_band
+def init_shock_tube(*configs: ShockTubeConfig) -> LatticeState:
+    """Equilibrium initialization of a two-state tube, carrying the run's
+    kernel, which is built here once.  Several configs of one model,
+    expansion, node count and interface give one lattice holding their
+    tubes end to end, in order."""
+    kernel = _Kernel(configs)
+    q, cut = configs[0].model.q, configs[0].interface
+    f = np.empty((q, kernel.tubes, kernel.nodes))
+    f[:, :, :cut] = kernel.left_band[:, :, None]
+    f[:, :, cut:] = kernel.right_band[:, :, None]
+    f = f.reshape(q, -1)
+    n = f.shape[1]
     out = LatticeState(f=f, rho=np.empty(n), u=np.empty(n), theta=np.empty(n),
                        kernel=kernel)
     kernel.macro_into(f, out.rho, out.u, out.theta)
@@ -233,18 +291,21 @@ def init_shock_tube(config: ShockTubeConfig) -> LatticeState:
 
 
 def apply_boundaries(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
-    """Overwrite the first and last band_width nodes with the fixed
-    equilibria of the respective side states (Dirichlet bands)."""
+    """Overwrite the first and last band_width nodes of every tube with the
+    fixed equilibria of its side states (Dirichlet bands)."""
     b = config.band_width
     kernel = state.run_kernel()
-    state.f[:, :b] = kernel.left_band
-    state.f[:, -b:] = kernel.right_band
+    f = state.f.reshape(len(kernel.hops), kernel.tubes, kernel.nodes)
+    f[:, :, :b] = kernel.left_band[:, :, None]
+    f[:, :, -b:] = kernel.right_band[:, :, None]
     return state
 
 
 def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
-    """One collide-stream-boundary update.  Mutates and returns state;
-    state.f is rebound to the other population buffer (see LatticeState)."""
+    """One collide-stream-boundary update of the lattice config describes
+    (config.nodes counts every tube of a batched lattice).  Mutates and
+    returns state; state.f is rebound to the other population buffer (see
+    LatticeState)."""
     kernel = state.run_kernel()
     kernel.stream(kernel.collide(state), kernel.spare)
     state.f, kernel.spare = kernel.spare, state.f
@@ -287,6 +348,19 @@ def check_health(state: LatticeState, max_speed: float) -> str | None:
     if not (np.abs(state.u) <= max_speed).all():
         return "runaway_velocity"
     return None
+
+
+def _tube_health(state: LatticeState, max_speed: float) -> list[str | None]:
+    """check_health of each tube of state's lattice, in order.  The whole
+    lattice is checked first, so a healthy step costs a single check."""
+    kernel = state.run_kernel()
+    if check_health(state, max_speed) is None:
+        return [None] * kernel.tubes
+    n = kernel.nodes
+    return [check_health(LatticeState(f=state.f[:, i:i + n], rho=state.rho[i:i + n],
+                                      u=state.u[i:i + n], theta=state.theta[i:i + n]),
+                         max_speed)
+            for i in range(0, len(state.rho), n)]
 
 
 @dataclass(frozen=True)
@@ -334,7 +408,8 @@ def run(config: ShockTubeConfig) -> RunResult:
     Snapshots are recorded every snapshot_interval steps (always the
     final healthy state).  The verdict reports the first failed health
     check, if any, and the largest density-fluctuation score seen in a
-    recorded snapshot.
+    recorded snapshot; a tube that fails before its first snapshot keeps
+    its unhealthy fields as the one snapshot and scores 0.
 
     The steps run on the lattice of _light_cone and every snapshot is
     expanded back to config.nodes.  Each node of config's lattice equals a
@@ -342,43 +417,81 @@ def run(config: ShockTubeConfig) -> RunResult:
     the health verdict (which asks whether any node fails) and the
     fluctuation scores are those of stepping config's whole lattice.
     """
-    total = config.steps if config.steps is not None else default_step_count(config)
-    lattice, index = _light_cone(config, total)
-    state = init_shock_tube(lattice)
-    max_speed = 1.5 * config.model.max_speed
-    margin = config.band_width + 1
-    snapshots: list[Snapshot] = []
-    fluct = 0.0
+    return _run_tubes([config])[0]
 
-    def record(s: LatticeState):
-        nonlocal fluct
-        snap = Snapshot(step=s.step_count, rho=s.rho[index], u=s.u[index],
-                        theta=s.theta[index])
-        snapshots.append(snap)
-        fluct = max(fluct, density_fluctuation(snap.rho, margin))
 
-    failure_step = None
-    failure_mode = None
-    for n in range(1, total + 1):
-        step(state, lattice)
-        mode = check_health(state, max_speed)
-        if mode is not None:
-            failure_step, failure_mode = n, mode
-            break
-        if config.snapshot_interval and n % config.snapshot_interval == 0:
-            record(state)
-    if failure_mode is None and (not snapshots or snapshots[-1].step != state.step_count):
-        record(state)
-    if failure_mode is not None and not snapshots:
-        # keep the last computed (unhealthy) fields for post-mortems
-        snapshots.append(Snapshot(step=state.step_count, rho=state.rho[index],
-                                  u=state.u[index], theta=state.theta[index]))
-    verdict = StabilityVerdict(stable=failure_mode is None,
-                               failure_step=failure_step,
-                               failure_mode=failure_mode,
-                               max_density_fluctuation=fluct)
-    return RunResult(config=config, steps_requested=total,
-                     snapshots=tuple(snapshots), verdict=verdict)
+def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
+    """run() of each config, for configs of one model, expansion, node
+    count and interface, stepped as batched lattices of up to _BATCH_NODES
+    nodes (at least one tube each).
+
+    Every tube is cut to the light cone of the longest horizon, which is
+    exact for the shorter ones too.  Arithmetic is per node, so a tube's
+    bits do not depend on the tubes beside it, and each tube's health is
+    checked on its own nodes.  A tube leaves the lattice at its horizon or
+    its first failed check."""
+    if not configs:
+        return []
+    totals = [c.steps if c.steps is not None else default_step_count(c) for c in configs]
+    lattice, index = _light_cone(configs[0], max(totals))
+    per_batch = max(1, _BATCH_NODES // lattice.nodes)
+    results = []
+    for i in range(0, len(configs), per_batch):
+        results += _run_batch(configs[i:i + per_batch], totals[i:i + per_batch],
+                              lattice, index)
+    return results
+
+
+def _run_batch(configs: Sequence[ShockTubeConfig], totals: list[int],
+               lattice: ShockTubeConfig, index: np.ndarray) -> list[RunResult]:
+    """Step configs' tubes on one lattice of tubes like `lattice`, each to
+    its own horizon in totals; index expands a tube to its config's nodes."""
+    n = lattice.nodes
+    state = init_shock_tube(*(replace(c, nodes=n, interface=lattice.interface)
+                              for c in configs))
+    max_speed = 1.5 * lattice.model.max_speed
+    margin = lattice.band_width + 1
+    snapshots: list[list[Snapshot]] = [[] for _ in configs]
+    fluct = [0.0] * len(configs)
+    failures: list[tuple[int | None, str | None]] = [(None, None)] * len(configs)
+
+    def snapshot(pos: int) -> Snapshot:
+        nodes = slice(pos * n, (pos + 1) * n)
+        return Snapshot(step=state.step_count, rho=state.rho[nodes][index],
+                        u=state.u[nodes][index], theta=state.theta[nodes][index])
+
+    live = list(range(len(configs)))  # the config of each tube on the lattice
+    modes: list[str | None] = [None] * len(configs)
+    stepped = replace(lattice, nodes=len(live) * n)
+    while True:
+        k = state.step_count
+        kept = np.zeros(len(live), dtype=bool)
+        for pos, (r, mode) in enumerate(zip(live, modes)):
+            interval = configs[r].snapshot_interval
+            if mode is not None:
+                failures[r] = (k, mode)
+                if not snapshots[r]:
+                    # keep the last computed (unhealthy) fields for post-mortems
+                    snapshots[r].append(snapshot(pos))
+                continue
+            if k == totals[r] or (k and interval and k % interval == 0):
+                snapshots[r].append(snapshot(pos))
+                fluct[r] = max(fluct[r], density_fluctuation(snapshots[r][-1].rho, margin))
+            kept[pos] = k < totals[r]
+        if not kept.all():
+            if not kept.any():
+                break
+            state.kernel.keep(state, kept)
+            live = [r for r, alive in zip(live, kept) if alive]
+            stepped = replace(lattice, nodes=len(live) * n)
+        step(state, stepped)
+        modes = _tube_health(state, max_speed)
+    return [RunResult(config=c, steps_requested=total, snapshots=tuple(snaps),
+                      verdict=StabilityVerdict(stable=mode is None, failure_step=at,
+                                               failure_mode=mode,
+                                               max_density_fluctuation=score))
+            for c, total, snaps, (at, mode), score
+            in zip(configs, totals, snapshots, failures, fluct)]
 
 
 @dataclass(frozen=True)
@@ -445,6 +558,11 @@ def extract_plateaus(snapshot: Snapshot, probe_low: int = 430,
 
 @dataclass(frozen=True)
 class ScanEntry:
+    """One verdict row of stability_scan, as run() gives it for the row's
+    config.  fluctuation is the largest score of a healthy snapshot, so an
+    unstable row that failed before its final step reports 0: nothing was
+    scored, which does not mean a flat profile."""
+
     model_name: str
     expansion: str
     rho_bar: float
@@ -460,24 +578,25 @@ def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                    expansions: Iterable[ExpansionSpec],
                    rho_bars: Iterable[float], taus: Iterable[float] = (1.0,),
                    steps: int | None = None, nodes: int = 1000) -> list[ScanEntry]:
-    """Grid of shock-tube runs, one after another; one verdict row per
-    combination, in grid order.  Every configuration is checked before the
-    first run starts."""
+    """Grid of shock-tube runs; one verdict row per combination, in grid
+    order.  Every configuration is checked before the first run starts.
+    The rows of one model and expansion, over every rho_bar and tau, step
+    together as batched lattices (see _run_tubes); each row gets the
+    verdict run() gives its config."""
     expansions, rho_bars, taus = list(expansions), list(rho_bars), list(taus)
-    grid = [(name, ShockTubeConfig(model=model, expansion=spec, rho_bar=rho_bar,
-                                   tau=tau, nodes=nodes, steps=steps,
-                                   interface=nodes // 2))
-            for name, model in model_specs for spec in expansions
-            for rho_bar in rho_bars for tau in taus]
+    groups = [(name, [ShockTubeConfig(model=model, expansion=spec, rho_bar=rho_bar,
+                                      tau=tau, nodes=nodes, steps=steps,
+                                      interface=nodes // 2)
+                      for rho_bar in rho_bars for tau in taus])
+              for name, model in model_specs for spec in expansions]
     entries = []
-    for name, config in grid:
-        result = run(config)
-        entries.append(ScanEntry(
-            model_name=name, expansion=config.expansion.label,
-            rho_bar=config.rho_bar, tau=config.tau,
-            stable=result.verdict.stable,
-            failure_step=result.verdict.failure_step,
-            failure_mode=result.verdict.failure_mode,
-            fluctuation=result.verdict.max_density_fluctuation,
-            steps=result.steps_requested))
+    for name, configs in groups:
+        for result in _run_tubes(configs):
+            config, verdict = result.config, result.verdict
+            entries.append(ScanEntry(
+                model_name=name, expansion=config.expansion.label,
+                rho_bar=config.rho_bar, tau=config.tau, stable=verdict.stable,
+                failure_step=verdict.failure_step, failure_mode=verdict.failure_mode,
+                fluctuation=verdict.max_density_fluctuation,
+                steps=result.steps_requested))
     return entries

@@ -23,13 +23,13 @@ from thermolb import (
     extract_plateaus,
     gaussian_moment,
     moment_accuracy,
-    resolve_catalog,
     run,
     solve_model,
     solve_riemann,
     verify_moments,
 )
 from thermolb.cli import EXIT_OK, main
+from thermolb.model_solver import derive_catalog_model
 from thermolb.riemann import shock_residuals
 
 TE = lambda n: ExpansionSpec("taylor", n)
@@ -46,9 +46,9 @@ def test_criterion_01_model_regeneration():
     }
     start = time.perf_counter()
     for name, v2 in reference.items():
-        model = resolve_catalog(name)  # full re-derivation, not a cache
+        model = derive_catalog_model(name)  # full re-derivation, not the cache
         assert abs(model.v2 - v2) < 1e-6, name
-    base = resolve_catalog("q3")
+    base = derive_catalog_model("q3")
     assert base.weights_exact is not None
     assert base.weights_exact[1] == Fraction(1, 6)
     assert time.perf_counter() - start < 5.0

@@ -10,7 +10,6 @@ The reference run steps the whole lattice, which run() does not: it
 steps a light-cone copy and expands its snapshots, and must give the
 same bits.
 """
-import functools
 import math
 from dataclasses import replace
 
@@ -23,15 +22,17 @@ from hypothesis.extra.numpy import arrays
 from thermolb import (CATALOG, ExpansionSpec, ShockTubeConfig, expand,
                       init_shock_tube, moment_accuracy, resolve_catalog, step,
                       verify_moments)
-from thermolb.simulator import (_light_cone, check_health, default_step_count,
-                                density_fluctuation, min_nodes, run)
+from thermolb import simulator
+from thermolb.simulator import (_light_cone, _run_tubes, check_health,
+                                default_step_count, density_fluctuation, min_nodes,
+                                run, stability_scan)
 
 MODELS = [entry.name for entry in CATALOG]
 EXPANSIONS = [ExpansionSpec("hermite", 3), ExpansionSpec("taylor", 3),
               ExpansionSpec("taylor", 5)]
 NODES = 64  # at least four bands of the widest catalog model (q21: 11)
 
-model = functools.cache(resolve_catalog)
+model = resolve_catalog
 
 
 def fields(n, low, high):
@@ -246,6 +247,92 @@ def test_run_equals_stepping_the_whole_lattice_bitwise():
     assert any(shortened for shortened, _ in drawn)
     assert any(not shortened for shortened, _ in drawn)
     assert any(shortened and not stable for shortened, stable in drawn)
+
+
+@st.composite
+def scan_lattices(draw):
+    """(nodes, steps) for every catalog model: the default horizon only on
+    lattices short enough to step it, and long lattices the cone cuts."""
+    nodes = draw(st.one_of(st.integers(min_nodes(11), 400), st.integers(401, 20000)))
+    steps = draw(st.integers(0, 30) if nodes > 400
+                 else st.one_of(st.none(), st.integers(0, 30)))
+    return nodes, steps
+
+
+def test_scan_rows_equal_run_per_row_bitwise(monkeypatch):
+    """stability_scan steps each model and expansion as batched lattices;
+    every row must be what run() gives its config, bit for bit."""
+    drawn = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(MODELS), spec=st.sampled_from(EXPANSIONS),
+           rho_bars=st.lists(st.floats(0.3, 14.0), min_size=1, max_size=3),
+           taus=st.lists(st.sampled_from([1.0, 0.8, 0.6]), min_size=1, max_size=2,
+                         unique=True),
+           lattice=scan_lattices(), batch=st.sampled_from([1, 800, 12000]))
+    # default horizons: q21 taylor:5 at rho 11 holds at tau 1, fails at 0.8
+    @example(name="q21", spec=EXPANSIONS[2], rho_bars=[11.0, 3.0], taus=[1.0, 0.8],
+             lattice=(1000, None), batch=12000)
+    # cut lattices, both failure modes, two tubes per batch
+    @example(name="q5", spec=EXPANSIONS[0], rho_bars=[3.0, 11.0], taus=[1.0, 0.8],
+             lattice=(20000, 30), batch=800)
+    def check(name, spec, rho_bars, taus, lattice, batch):
+        m = model(name)
+        nodes, steps = lattice
+        monkeypatch.setattr(simulator, "_BATCH_NODES", batch)
+        rows = stability_scan([(name, m)], [spec], rho_bars, taus, steps=steps,
+                              nodes=nodes)
+        configs = [ShockTubeConfig(model=m, expansion=spec, rho_bar=rho_bar, tau=tau,
+                                   nodes=nodes, interface=nodes // 2, steps=steps)
+                   for rho_bar in rho_bars for tau in taus]
+        assert len(rows) == len(configs)
+        for row, config in zip(rows, configs):
+            result = run(config)
+            verdict = result.verdict
+            assert (row.model_name, row.expansion, row.rho_bar, row.tau) == \
+                (name, spec.label, config.rho_bar, config.tau)
+            assert (row.stable, row.failure_step, row.failure_mode, row.steps) == \
+                (verdict.stable, verdict.failure_step, verdict.failure_mode,
+                 result.steps_requested)
+            assert bits(row.fluctuation) == bits(verdict.max_density_fluctuation)
+        cut = _light_cone(configs[0], max(r.steps for r in rows))[0].nodes < nodes
+        drawn.append((cut, steps is None, {r.stable for r in rows},
+                      {r.failure_mode for r in rows}, {c.tau == 1.0 for c in configs}))
+
+    check()
+    assert any(cut for cut, *_ in drawn) and any(not cut for cut, *_ in drawn)
+    assert any(default for _, default, *_ in drawn)
+    assert any(stable == {True, False} and taus == {True, False}
+               for _, _, stable, _, taus in drawn)
+    modes = set().union(*(m for _, _, _, m, _ in drawn))
+    assert {"non_positive_density", "runaway_velocity"} <= modes
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(MODELS), spec=st.sampled_from(EXPANSIONS),
+       tubes=st.lists(st.tuples(st.floats(0.3, 14.0), st.sampled_from([1.0, 0.8]),
+                                st.sampled_from(["left", "right"]),
+                                st.integers(0, 30),
+                                st.one_of(st.none(), st.integers(1, 12))),
+                      min_size=1, max_size=4),
+       nodes=st.integers(min_nodes(11), 3000), interface=st.floats(0.05, 0.95))
+def test_batched_tubes_equal_their_own_runs_bitwise(name, spec, tubes, nodes, interface):
+    # tubes with their own side, horizon and snapshot interval on one lattice
+    configs = [ShockTubeConfig(model=model(name), expansion=spec, rho_bar=rho_bar,
+                               tau=tau, high_side=side, steps=steps,
+                               snapshot_interval=interval, nodes=nodes,
+                               interface=min(max(round(interface * nodes), 1), nodes - 1))
+               for rho_bar, tau, side, steps, interval in tubes]
+    for got, config in zip(_run_tubes(configs), configs):
+        want = run(config)
+        assert got.config is config and got.steps_requested == want.steps_requested
+        assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in got.snapshots] == \
+            [(s.step, *bits(s.rho, s.u, s.theta)) for s in want.snapshots]
+        assert got.verdict.stable == want.verdict.stable
+        assert (got.verdict.failure_step, got.verdict.failure_mode) == \
+            (want.verdict.failure_step, want.verdict.failure_mode)
+        assert bits(got.verdict.max_density_fluctuation) == \
+            bits(want.verdict.max_density_fluctuation)
 
 
 @pytest.mark.parametrize("interface", [1, 29])

@@ -190,6 +190,26 @@ def test_all_catalog_models_match_gaussian_moments():
         assert model.residual < 1e-8
 
 
+def test_resolve_catalog_derives_once_and_regenerate_derives_again(monkeypatch, capsys):
+    from thermolb import model_solver
+    from thermolb.cli import EXIT_OK, main
+
+    assert resolve_catalog("q7") is resolve_catalog("q7")
+    calls = []
+
+    def counted(ratios, **kwargs):
+        calls.append(ratios)
+        return solve_model(ratios, **kwargs)
+
+    monkeypatch.setattr(model_solver, "solve_model", counted)
+    assert resolve_catalog("q7") is resolve_catalog("q7")
+    assert calls == []
+    assert main(["catalog", "--regenerate"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [entry.ratios for entry in CATALOG]
+    assert model_solver.derive_catalog_model("q7") == resolve_catalog("q7")
+
+
 def test_weights_sum_to_one(q5, q21):
     for model in (q5, q21):
         full = model.normalized_weights_full()
