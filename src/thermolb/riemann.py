@@ -212,9 +212,15 @@ def sample_profile(solution: RiemannSolution, positions: np.ndarray, time: float
     time = 0 returns the initial discontinuity.  The constant regions take
     their states' floats; each position inside a rarefaction fan goes
     through _fan on Python floats (np.power may round the last bit
-    differently from the scalar pow).
+    differently from the scalar pow).  ValueError, before anything is
+    sampled, unless time is finite and >= 0 and positions is a 1-D array
+    of finite numbers.
     """
+    if not 0.0 <= time < math.inf:
+        raise ValueError(f"sample time must be finite and >= 0, got {time!r}")
     positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 1 or not np.isfinite(positions).all():
+        raise ValueError("sample positions must be a 1-D array of finite numbers")
     if not time > 0.0:
         left = positions < 0.0
         return tuple(np.where(left, getattr(solution.left, name),

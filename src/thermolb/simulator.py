@@ -15,7 +15,8 @@ A lattice may hold several tubes of one model, expansion and length laid
 end to end, each with its own bands, relaxation time and horizon; what
 one tube's stream spills into the next lands in that tube's band and is
 overwritten.  stability_scan steps the rows of a model and expansion
-this way, and run() is the one-tube case of the same runner.
+this way, and run() is the one-tube case of the same runner; a _Tube
+record holds each tube's snapshot rule and builds its RunResult.
 
 run() steps only the light cone of the tube.  A population hops at
 most band_width nodes per step, so after T steps a node has seen only
@@ -36,7 +37,7 @@ they are exactly mirror symmetric under (x, v, u) -> (-x, -v, -u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,6 +84,13 @@ class ShockTubeConfig:
     probe_high: int = 650
 
     def __post_init__(self):
+        for name in ("nodes", "interface", "steps", "snapshot_interval"):
+            value = getattr(self, name)
+            if value is None and name in ("steps", "snapshot_interval"):
+                continue
+            # ExpansionSpec.order's rule: an int, and not a bool
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.rho_bar < math.inf:
             raise ValueError(f"dense-state density must be positive and finite, "
                              f"got {self.rho_bar}")
@@ -93,8 +101,7 @@ class ShockTubeConfig:
         if not 0.5 <= self.tau < math.inf:
             raise ValueError(f"relaxation time must be finite and >= 1/2 "
                              f"(below 1/2 is unstable by design), got {self.tau}")
-        if self.snapshot_interval is not None and not (
-                isinstance(self.snapshot_interval, int) and self.snapshot_interval >= 1):
+        if self.snapshot_interval is not None and self.snapshot_interval < 1:
             raise ValueError(f"snapshot interval must be None or an integer >= 1, "
                              f"got {self.snapshot_interval!r}")
         least = min_nodes(self.band_width)
@@ -405,11 +412,11 @@ def _light_cone(config: ShockTubeConfig, steps: int) -> tuple[ShockTubeConfig, n
 def run(config: ShockTubeConfig) -> RunResult:
     """Run a shock tube to its horizon (or until instability).
 
-    Snapshots are recorded every snapshot_interval steps (always the
-    final healthy state).  The verdict reports the first failed health
-    check, if any, and the largest density-fluctuation score seen in a
-    recorded snapshot; a tube that fails before its first snapshot keeps
-    its unhealthy fields as the one snapshot and scores 0.
+    Snapshots are recorded by _Tube.due's rule: every snapshot_interval
+    steps and at the horizon while healthy.  The verdict reports the first
+    failed health check, if any, and the largest density-fluctuation score
+    of a healthy snapshot; a tube that fails before its first snapshot
+    keeps its unhealthy fields as the one snapshot, unscored (0).
 
     The steps run on the lattice of _light_cone and every snapshot is
     expanded back to config.nodes.  Each node of config's lattice equals a
@@ -418,6 +425,34 @@ def run(config: ShockTubeConfig) -> RunResult:
     fluctuation scores are those of stepping config's whole lattice.
     """
     return _run_tubes([config])[0]
+
+
+@dataclass
+class _Tube:
+    """One config's run through _run_tubes: its horizon, the snapshots
+    recorded so far, their largest fluctuation score and the first failed
+    health check as (step, mode)."""
+
+    config: ShockTubeConfig
+    horizon: int
+    snapshots: list[Snapshot] = field(default_factory=list)
+    score: float = 0.0
+    failure: tuple[int, str] | None = None
+
+    def due(self, k: int) -> bool:
+        """Whether the fields after k steps are recorded: every
+        snapshot_interval steps and at the horizon while healthy.  After a
+        failure, the failing fields are kept only if nothing was recorded,
+        and they are not scored."""
+        if self.failure is not None:
+            return not self.snapshots
+        interval = self.config.snapshot_interval
+        return k == self.horizon or bool(k and interval and k % interval == 0)
+
+    def result(self) -> RunResult:
+        at, mode = self.failure or (None, None)
+        verdict = StabilityVerdict(mode is None, at, mode, self.score)
+        return RunResult(self.config, self.horizon, tuple(self.snapshots), verdict)
 
 
 def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
@@ -432,66 +467,40 @@ def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
     its first failed check."""
     if not configs:
         return []
-    totals = [c.steps if c.steps is not None else default_step_count(c) for c in configs]
-    lattice, index = _light_cone(configs[0], max(totals))
-    per_batch = max(1, _BATCH_NODES // lattice.nodes)
-    results = []
-    for i in range(0, len(configs), per_batch):
-        results += _run_batch(configs[i:i + per_batch], totals[i:i + per_batch],
-                              lattice, index)
-    return results
-
-
-def _run_batch(configs: Sequence[ShockTubeConfig], totals: list[int],
-               lattice: ShockTubeConfig, index: np.ndarray) -> list[RunResult]:
-    """Step configs' tubes on one lattice of tubes like `lattice`, each to
-    its own horizon in totals; index expands a tube to its config's nodes."""
+    tubes = [_Tube(c, c.steps if c.steps is not None else default_step_count(c))
+             for c in configs]
+    lattice, index = _light_cone(configs[0], max(t.horizon for t in tubes))
     n = lattice.nodes
-    state = init_shock_tube(*(replace(c, nodes=n, interface=lattice.interface)
-                              for c in configs))
     max_speed = 1.5 * lattice.model.max_speed
     margin = lattice.band_width + 1
-    snapshots: list[list[Snapshot]] = [[] for _ in configs]
-    fluct = [0.0] * len(configs)
-    failures: list[tuple[int | None, str | None]] = [(None, None)] * len(configs)
-
-    def snapshot(pos: int) -> Snapshot:
-        nodes = slice(pos * n, (pos + 1) * n)
-        return Snapshot(step=state.step_count, rho=state.rho[nodes][index],
-                        u=state.u[nodes][index], theta=state.theta[nodes][index])
-
-    live = list(range(len(configs)))  # the config of each tube on the lattice
-    modes: list[str | None] = [None] * len(configs)
-    stepped = replace(lattice, nodes=len(live) * n)
-    while True:
-        k = state.step_count
-        kept = np.zeros(len(live), dtype=bool)
-        for pos, (r, mode) in enumerate(zip(live, modes)):
-            interval = configs[r].snapshot_interval
-            if mode is not None:
-                failures[r] = (k, mode)
-                if not snapshots[r]:
-                    # keep the last computed (unhealthy) fields for post-mortems
-                    snapshots[r].append(snapshot(pos))
-                continue
-            if k == totals[r] or (k and interval and k % interval == 0):
-                snapshots[r].append(snapshot(pos))
-                fluct[r] = max(fluct[r], density_fluctuation(snapshots[r][-1].rho, margin))
-            kept[pos] = k < totals[r]
-        if not kept.all():
-            if not kept.any():
-                break
-            state.kernel.keep(state, kept)
-            live = [r for r, alive in zip(live, kept) if alive]
-            stepped = replace(lattice, nodes=len(live) * n)
-        step(state, stepped)
-        modes = _tube_health(state, max_speed)
-    return [RunResult(config=c, steps_requested=total, snapshots=tuple(snaps),
-                      verdict=StabilityVerdict(stable=mode is None, failure_step=at,
-                                               failure_mode=mode,
-                                               max_density_fluctuation=score))
-            for c, total, snaps, (at, mode), score
-            in zip(configs, totals, snapshots, failures, fluct)]
+    per_batch = max(1, _BATCH_NODES // n)
+    for first in range(0, len(tubes), per_batch):
+        live = tubes[first:first + per_batch]  # the tubes on the lattice, in order
+        state = init_shock_tube(*(replace(t.config, nodes=n, interface=lattice.interface)
+                                  for t in live))
+        stepped = replace(lattice, nodes=len(live) * n)
+        while True:
+            k = state.step_count
+            for pos, tube in enumerate(live):
+                if tube.due(k):
+                    rows = slice(pos * n, (pos + 1) * n)
+                    snap = Snapshot(k, state.rho[rows][index], state.u[rows][index],
+                                    state.theta[rows][index])
+                    tube.snapshots.append(snap)
+                    if tube.failure is None:  # post-mortem fields are not scored
+                        tube.score = max(tube.score, density_fluctuation(snap.rho, margin))
+            kept = np.array([t.failure is None and k < t.horizon for t in live])
+            if not kept.all():
+                if not kept.any():
+                    break
+                state.kernel.keep(state, kept)
+                live = [t for t, alive in zip(live, kept) if alive]
+                stepped = replace(lattice, nodes=len(live) * n)
+            step(state, stepped)
+            for tube, mode in zip(live, _tube_health(state, max_speed)):
+                if mode is not None:
+                    tube.failure = (state.step_count, mode)
+    return [t.result() for t in tubes]
 
 
 @dataclass(frozen=True)

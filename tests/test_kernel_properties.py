@@ -333,6 +333,14 @@ def test_batched_tubes_equal_their_own_runs_bitwise(name, spec, tubes, nodes, in
             (want.verdict.failure_step, want.verdict.failure_mode)
         assert bits(got.verdict.max_density_fluctuation) == \
             bits(want.verdict.max_density_fluctuation)
+        # run() shares _run_tubes' recording rules, so also check them
+        # against the independent whole-lattice stepper
+        dense, failure_step, failure_mode, fluct = dense_run(config)
+        assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in got.snapshots] == \
+            [(n, *bits(rho, u, theta)) for n, rho, u, theta in dense]
+        assert (got.verdict.failure_step, got.verdict.failure_mode) == \
+            (failure_step, failure_mode)
+        assert bits(got.verdict.max_density_fluctuation) == bits(fluct)
 
 
 @pytest.mark.parametrize("interface", [1, 29])

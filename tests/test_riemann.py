@@ -270,6 +270,33 @@ def test_sample_profile_is_pointwise_at_random_positions(pair, xs, t, origin):
     _assert_profile_is_pointwise(sol, np.array(xs) - origin, t)  # the interface at origin
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_sample_profile_rejects_a_bad_time(time):
+    # a NaN or negative time used to return the t = 0 profile
+    sol = solve_riemann(GasState(*WAVE_PAIRS[0][0]), GasState(*WAVE_PAIRS[0][1]))
+    with pytest.raises(ValueError, match="time"):
+        sample_profile(sol, np.array([-1.0, 0.0, 1.0]), time)
+
+
+@pytest.mark.parametrize("positions", [
+    [0.0, math.nan],  # used to get the star state
+    [math.inf, -1.0], [-math.inf], 0.0,
+])
+def test_sample_profile_rejects_positions_that_are_not_finite_1d(positions):
+    sol = solve_riemann(GasState(*WAVE_PAIRS[0][0]), GasState(*WAVE_PAIRS[0][1]))
+    with pytest.raises(ValueError, match="positions"):
+        sample_profile(sol, positions, 1.0)
+
+
+def test_sample_profile_rejects_a_2d_array():
+    # with a point inside the left rarefaction fan this used to raise a
+    # TypeError from the fan sampler
+    sol = solve_riemann(GasState(*WAVE_PAIRS[0][0]), GasState(*WAVE_PAIRS[0][1]))
+    fan = 0.5 * (sol.left_wave.head + sol.left_wave.tail)
+    with pytest.raises(ValueError, match="positions"):
+        sample_profile(sol, np.array([[fan, 0.0], [1.0, 2.0]]), 1.0)
+
+
 def test_mirror_symmetry():
     left = GasState(rho=3.0, u=0.1, theta=1.2)
     right = GasState(rho=1.0, u=-0.2, theta=0.9)

@@ -111,6 +111,18 @@ def test_config_validation(q3, q5):
             ShockTubeConfig(**{**good, **fields})
 
 
+@pytest.mark.parametrize("field,value", [
+    # these built a config and then failed in init_shock_tube or _light_cone
+    ("nodes", 1000.5), ("interface", 500.0), ("steps", 2.5),
+    # bools are ints to Python: steps=True ran one step and reported True
+    ("steps", True), ("snapshot_interval", True), ("interface", True),
+    ("nodes", "1000"), ("interface", None), ("steps", 30.0),
+])
+def test_integer_fields_must_be_ints(q5, field, value):
+    with pytest.raises(ValueError, match=field):
+        ShockTubeConfig(model=q5, expansion=TE2, **{field: value})
+
+
 # ------------------------------------------------------------- dynamics
 
 
