@@ -48,7 +48,9 @@ class UsageError(ValueError):
 
 def worker_count(explicit: int | None = None) -> int:
     """The worker count from --workers, else THERMOLB_WORKERS, else 1,
-    checked to be >= 1.  Every run uses one core whatever the count."""
+    checked to be >= 1.  stability-scan steps its groups on up to this
+    many forked processes; a simulate run is one tube on one core whatever
+    the count."""
     if explicit is not None:
         if explicit < 1:
             raise ValueError(f"worker count must be >= 1, got {explicit}")
@@ -618,7 +620,7 @@ def cmd_stability_scan(args) -> int:
     rho_bars = [float(t) for t in args.rho_bars.split(",") if t.strip()]
     taus = [float(t) for t in args.taus.split(",") if t.strip()]
     entries = stability_scan(models, specs, rho_bars, taus, steps=args.steps,
-                             nodes=args.nodes)
+                             nodes=args.nodes, workers=worker_count(args.workers))
     rows = [[e.model_name, e.expansion, e.rho_bar, e.tau, int(e.stable),
              e.failure_step if e.failure_step is not None else -1,
              e.failure_mode or "", e.fluctuation, e.steps] for e in entries]
@@ -747,8 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--workers", type=int, default=None,
-                   help="checked to be >= 1 (default: THERMOLB_WORKERS or 1); "
-                        "the scan steps its batched groups on one core")
+                   help="processes that step the scan's (model, expansion) "
+                        "groups, >= 1 (default: THERMOLB_WORKERS or 1); the "
+                        "output is the same for any count")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability_scan)
 

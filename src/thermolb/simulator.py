@@ -30,13 +30,15 @@ the far node kept in its run.
 Determinism: every arithmetic path is elementwise or reduces over the
 velocity axis of one node in a fixed order, so results are bit-identical
 across runs and do not depend on which other nodes share the arrays
-(which is why the shortened lattice gives the full lattice's bits), and
-the equilibrium and the moments are organized over +/- speed pairs, so
-they are exactly mirror symmetric under (x, v, u) -> (-x, -v, -u).
+(which is why the shortened lattice gives the full lattice's bits), nor
+on which process steps a scan group, and the equilibrium and the moments
+are organized over +/- speed pairs, so they are exactly mirror symmetric
+under (x, v, u) -> (-x, -v, -u).
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -84,7 +86,8 @@ class ShockTubeConfig:
     probe_high: int = 650
 
     def __post_init__(self):
-        for name in ("nodes", "interface", "steps", "snapshot_interval"):
+        for name in ("nodes", "interface", "steps", "snapshot_interval",
+                     "probe_low", "probe_high"):
             value = getattr(self, name)
             if value is None and name in ("steps", "snapshot_interval"):
                 continue
@@ -529,9 +532,11 @@ class PlateauReport:
 
 
 def check_probes(nodes: int, probes: Iterable[int], window: int = 10) -> None:
-    """ValueError unless each probe's +-window nodes lie on a lattice of
-    `nodes` nodes."""
+    """ValueError unless each probe is an integer node whose +-window nodes
+    lie on a lattice of `nodes` nodes."""
     for probe in probes:
+        if isinstance(probe, bool) or not isinstance(probe, int):
+            raise ValueError(f"probe node must be an integer, got {probe!r}")
         if not window <= probe < nodes - window:
             raise ValueError(f"probe node {probe} outside the lattice")
 
@@ -583,29 +588,76 @@ class ScanEntry:
     steps: int
 
 
+def _scan_group(group: tuple[str, list[ShockTubeConfig]]) -> list[ScanEntry]:
+    """The verdict rows of one model and expansion, stepped by _run_tubes."""
+    name, configs = group
+    rows = []
+    for result in _run_tubes(configs):
+        config, verdict = result.config, result.verdict
+        rows.append(ScanEntry(
+            model_name=name, expansion=config.expansion.label,
+            rho_bar=config.rho_bar, tau=config.tau, stable=verdict.stable,
+            failure_step=verdict.failure_step, failure_mode=verdict.failure_mode,
+            fluctuation=verdict.max_density_fluctuation,
+            steps=result.steps_requested))
+    return rows
+
+
+def _group_cost(group: tuple[str, list[ShockTubeConfig]]) -> int:
+    """Rough stepping cost of a scan group: q * longest horizon * tubes."""
+    configs = group[1]
+    horizon = max((c.steps if c.steps is not None else default_step_count(c)
+                   for c in configs), default=0)
+    return horizon * sum(c.model.q for c in configs)
+
+
+def _scan_groups(groups: list[tuple[str, list[ShockTubeConfig]]],
+                 workers: int) -> list[list[ScanEntry]]:
+    """_scan_group of each group, in order, on up to `workers` forked
+    processes that each take one group at a time; in this process when
+    that is one process or the platform cannot fork (a spawned child would
+    re-import numpy).  A worker that dies raises BrokenProcessPool, where
+    multiprocessing.Pool would wait for it forever."""
+    size = min(workers, len(groups))
+    if size > 1:
+        import multiprocessing  # only here, so that a serial scan never loads it
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(size, mp_context=context) as pool, \
+                    warnings.catch_warnings():
+                # Python 3.12+ warns on fork() while numpy's idle BLAS threads
+                # are alive; a child runs only elementwise numpy code
+                warnings.filterwarnings("ignore", ".*use of fork\\(\\) may lead to "
+                                        "deadlocks", DeprecationWarning)
+                return list(pool.map(_scan_group, groups))
+    return list(map(_scan_group, groups))
+
+
 def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                    expansions: Iterable[ExpansionSpec],
                    rho_bars: Iterable[float], taus: Iterable[float] = (1.0,),
-                   steps: int | None = None, nodes: int = 1000) -> list[ScanEntry]:
+                   steps: int | None = None, nodes: int = 1000,
+                   workers: int = 1) -> list[ScanEntry]:
     """Grid of shock-tube runs; one verdict row per combination, in grid
-    order.  Every configuration is checked before the first run starts.
-    The rows of one model and expansion, over every rho_bar and tau, step
-    together as batched lattices (see _run_tubes); each row gets the
-    verdict run() gives its config."""
+    order.  Every configuration and the worker count are checked before the
+    first run starts.  The rows of one model and expansion, over every
+    rho_bar and tau, step together as batched lattices (see _run_tubes);
+    each row gets the verdict run() gives its config.
+
+    The groups run on up to `workers` forked processes, costliest first,
+    where the platform can fork and there is more than one group; otherwise
+    they run one after another in this process.  A group's rows do not
+    depend on the process that steps it."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
     expansions, rho_bars, taus = list(expansions), list(rho_bars), list(taus)
     groups = [(name, [ShockTubeConfig(model=model, expansion=spec, rho_bar=rho_bar,
                                       tau=tau, nodes=nodes, steps=steps,
                                       interface=nodes // 2)
                       for rho_bar in rho_bars for tau in taus])
               for name, model in model_specs for spec in expansions]
-    entries = []
-    for name, configs in groups:
-        for result in _run_tubes(configs):
-            config, verdict = result.config, result.verdict
-            entries.append(ScanEntry(
-                model_name=name, expansion=config.expansion.label,
-                rho_bar=config.rho_bar, tau=config.tau, stable=verdict.stable,
-                failure_step=verdict.failure_step, failure_mode=verdict.failure_mode,
-                fluctuation=verdict.max_density_fluctuation,
-                steps=result.steps_requested))
-    return entries
+    order = sorted(range(len(groups)), key=lambda i: _group_cost(groups[i]),
+                   reverse=True)
+    by_group = dict(zip(order, _scan_groups([groups[i] for i in order], workers)))
+    return [row for i in range(len(groups)) for row in by_group[i]]

@@ -9,11 +9,20 @@ conservation accounting) plus the determinism contract: bit-identical
 results across runs and `--workers` counts, and under mirror reflection.
 """
 import math
+import os
+import signal
+import struct
+import subprocess
+import sys
+import warnings
+from concurrent import futures
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from thermolb import resolve_catalog, simulator
 from thermolb.cli import EXIT_OK, WORKERS_ENV_VAR, main, worker_count
 from thermolb.equilibrium import ExpansionSpec
 from thermolb.simulator import (
@@ -117,6 +126,8 @@ def test_config_validation(q3, q5):
     # bools are ints to Python: steps=True ran one step and reported True
     ("steps", True), ("snapshot_interval", True), ("interface", True),
     ("nodes", "1000"), ("interface", None), ("steps", 30.0),
+    # these ran and then failed in extract_plateaus
+    ("probe_low", 430.5), ("probe_high", True),
 ])
 def test_integer_fields_must_be_ints(q5, field, value):
     with pytest.raises(ValueError, match=field):
@@ -223,8 +234,8 @@ def test_mirror_configurations_give_bitwise_mirror_fields(q5):
 
 
 def test_worker_count_does_not_change_any_bit(tmp_path, monkeypatch):
-    # the worker count is validated and changes nothing: the rows, their
-    # order and every float in them match
+    # the groups run on forked processes with --workers 2, and the rows,
+    # their order and every float in them match the serial scan
     monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
     out = {}
     for workers in ("1", "2"):
@@ -236,6 +247,123 @@ def test_worker_count_does_not_change_any_bit(tmp_path, monkeypatch):
     rows = out["1"].read_text().splitlines()[1:]
     assert len(rows) == 8 and {row.split(",")[4] for row in rows} == {"0", "1"}
     assert out["2"].read_bytes() == out["1"].read_bytes()
+
+
+def scan_bits(rows):
+    """Every field of each row, the fluctuation by its float bits."""
+    return [(r.model_name, r.expansion, r.rho_bar, r.tau, r.stable, r.failure_step,
+             r.failure_mode, struct.pack("<d", r.fluctuation), r.steps) for r in rows]
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the pool sizes and start
+    methods asked for and the groups in dispatch order, and maps them in
+    this process.  Its map warns as os.fork does on Python 3.12+ while
+    other threads are alive."""
+
+    def __init__(self):
+        self.pools, self.dispatched = [], []
+
+    def __call__(self, max_workers, mp_context):
+        self.pools.append((max_workers, mp_context.get_start_method()))
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, groups):
+        warnings.warn("This process (pid=1) is multi-threaded, use of fork() may "
+                      "lead to deadlocks in the child.", DeprecationWarning)
+        self.dispatched.extend(name for name, _ in groups)
+        return map(fn, groups)
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("the scan started a process pool")
+
+
+def test_scan_rows_are_bitwise_the_same_on_any_worker_count(monkeypatch):
+    real, sizes = futures.ProcessPoolExecutor, []
+    monkeypatch.setattr(futures, "ProcessPoolExecutor",
+                        lambda size, mp_context: sizes.append(size) or
+                        real(size, mp_context=mp_context))
+    models = [(name, resolve_catalog(name)) for name in ("q5", "q7", "q21")]
+    grids = [
+        # default horizons: q21 taylor:5 at rho 11 holds at tau 1, fails at 0.8
+        dict(expansions=[HE3, ExpansionSpec("taylor", 5)], rho_bars=[11.0, 3.0],
+             taus=[1.0, 0.8], nodes=1000, steps=None),
+        # cut lattices and two tubes per batch
+        dict(expansions=[HE3], rho_bars=[3.0, 11.0], taus=[1.0, 0.8], nodes=20000,
+             steps=30),
+    ]
+    monkeypatch.setattr(simulator, "_BATCH_NODES", 800)
+    for grid in grids:
+        rows = {w: stability_scan(models, workers=w, **grid) for w in (1, 2, 3)}
+        assert {r.stable for r in rows[1]} == {True, False}
+        assert scan_bits(rows[2]) == scan_bits(rows[1])
+        assert scan_bits(rows[3]) == scan_bits(rows[1])
+    assert sizes == [2, 3, 2, 3]  # workers 2 and 3 of both grids used a pool
+
+
+def test_scan_pool_has_one_process_per_group_at_most(q5, q21, monkeypatch):
+    executor = RecordingExecutor()
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", executor)
+    grid = dict(expansions=[HE3], rho_bars=[3.0], taus=[1.0], steps=20, nodes=200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = stability_scan([("q5", q5), ("q21", q21)], workers=64, **grid)
+    assert executor.pools == [(2, "fork")]
+    assert caught == []  # the fork warning does not reach the caller
+    assert executor.dispatched == ["q21", "q5"]  # costliest group first
+    assert [r.model_name for r in rows] == ["q5", "q21"]  # grid order
+    assert scan_bits(rows) == scan_bits(stability_scan([("q5", q5), ("q21", q21)], **grid))
+
+
+def test_a_worker_that_dies_fails_the_scan(q5, q7, monkeypatch):
+    # multiprocessing.Pool would wait for the dead worker's group forever
+    parent, real = os.getpid(), simulator._run_tubes
+
+    def die_in_a_child_on_q7(configs):
+        if os.getpid() != parent and configs[0].model.q == 7:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(configs)
+
+    monkeypatch.setattr(simulator, "_run_tubes", die_in_a_child_on_q7)
+    with pytest.raises(BrokenProcessPool):
+        stability_scan([("q5", q5), ("q7", q7)], [HE3], [3.0], steps=5, nodes=200,
+                       workers=2)
+
+
+def test_serial_scans_start_no_process(q5, monkeypatch):
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+    grid = dict(rho_bars=[3.0, 11.0], taus=[1.0, 0.8], steps=20, nodes=200)
+    assert len(stability_scan([("q5", q5)], [HE3, TE3], workers=1, **grid)) == 8
+    assert len(stability_scan([("q5", q5)], [HE3], workers=8, **grid)) == 4
+
+
+def test_serial_scan_never_imports_multiprocessing(tmp_path):
+    code = ("import sys; from thermolb.cli import main; "
+            f"code = main(['stability-scan', '--models', 'q5,q7', '--expansions', "
+            f"'hermite:3', '--rho-bars', '3', '--steps', '5', '--nodes', '200', "
+            f"'--out', {str(tmp_path / 'scan.csv')!r}]); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if k != WORKERS_ENV_VAR}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert (proc.stdout.split(), proc.stderr) == (["0", "False"], "")
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2"])
+def test_scan_rejects_bad_worker_counts_before_any_compute(q5, monkeypatch, workers):
+    monkeypatch.setattr(simulator, "_run_tubes", no_pool)
+    monkeypatch.setattr(simulator, "default_step_count", no_pool)
+    with pytest.raises(ValueError, match="worker count"):
+        stability_scan([("q5", q5)], [HE3], [3.0], workers=workers)
 
 
 def test_worker_count_resolution(monkeypatch):
@@ -336,6 +464,20 @@ def test_extract_plateaus_median_is_outlier_proof_but_flat_flag_is_not():
     report = extract_plateaus(snap, probe_low=430, probe_high=650)
     assert report.rho == (2.456, 1.178)  # single outlier cannot move a median
     assert report.flat == (True, False)
+
+
+def test_probes_are_range_checked_only_against_a_snapshot(q21):
+    # the default probes lie off a 44-node lattice, which still runs
+    config = ShockTubeConfig(model=q21, expansion=TE3, nodes=44, interface=22, steps=2)
+    with pytest.raises(ValueError, match="probe node 430 outside"):
+        extract_plateaus(run(config).final)
+
+
+@pytest.mark.parametrize("probes,bad", [((430.5, 650), "430.5"), ((430, True), "True")])
+def test_extract_plateaus_rejects_non_integer_probes(probes, bad):
+    # 430.5 failed slicing with a TypeError; True was range-checked as node 1
+    with pytest.raises(ValueError, match=f"probe node must be an integer, got {bad}"):
+        extract_plateaus(_piecewise_snapshot(), *probes)
 
 
 def test_extract_plateaus_rejects_probes_near_the_edge():
