@@ -32,7 +32,7 @@ from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, NoRealSolutionError,
                            resolve_catalog, solve_model)
 from .riemann import GasState, VacuumError, sample_profile, solve_riemann
 from .simulator import (ShockTubeConfig, Snapshot, check_probes,
-                        extract_plateaus, min_nodes, run, stability_scan)
+                        extract_plateaus, run, stability_scan)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -366,14 +366,14 @@ def cmd_simulate(args) -> int:
                              high_side=args.high_side, tau=args.tau,
                              steps=args.steps,
                              snapshot_interval=args.snapshot_interval)
-    check_probes(config.nodes, (config.probe_low, config.probe_high))
+    check_probes(config.nodes, config.probes)
     result = run(config)
     final = result.final
     csv_text = _snapshot_csv(final.rho, final.u, final.theta)
     if args.csv:
         _write_text(args.csv, csv_text)
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
-    plateaus = extract_plateaus(result.final, config.probe_low, config.probe_high)
+    plateaus = extract_plateaus(result.final, *config.probes)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -536,59 +536,46 @@ def _parse_rows(lines) -> np.ndarray:
 def cmd_compare(args) -> int:
     sim, sim_sha256 = _read_snapshot_csv(args.sim)
     manifest = json.loads(Path(args.manifest).read_text())
+    # the config simulate ran, checked by ShockTubeConfig itself
     try:
         cfg = manifest["config"]
-        counts = {"nodes": cfg["nodes"], "interface": cfg["interface"],
-                  "steps": cfg["steps"],
-                  "final_step": manifest.get("final_step", cfg["steps"])}
-        scales = {"dx": cfg["dx"], "rho_bar": cfg["rho_bar"]}
-        high = cfg["high_side"]
-        band = max(int(p) for p in cfg["model"]["p"])
+        config = ShockTubeConfig(
+            model=VelocityModel.from_json_dict(cfg["model"]),
+            expansion=ExpansionSpec(**cfg["expansion"]),
+            rho_bar=cfg["rho_bar"], nodes=cfg["nodes"], interface=cfg["interface"],
+            high_side=cfg["high_side"], tau=cfg["tau"], steps=cfg["steps"])
+        steps, dx = manifest.get("final_step", cfg["steps"]), cfg["dx"]
     except KeyError as exc:
         raise UsageError(f"manifest {args.manifest} has no {exc} entry") from exc
-    except TypeError as exc:
-        raise UsageError(f"manifest {args.manifest} is not a simulate manifest: {exc}") from exc
-    for key, value in counts.items():
-        least = 1 if key in ("nodes", "interface") else 0  # a 0-step run compares at t = 0
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise UsageError(f"manifest {args.manifest} has {key} {value!r}, "
-                             f"not an integer >= {least}")
-    for key, value in scales.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf):
-            raise UsageError(f"manifest {args.manifest} has {key} {value!r}, "
-                             "not a positive finite number")
-    if high not in ("left", "right"):
-        raise UsageError(f"manifest {args.manifest} has high_side {high!r}, "
-                         "not 'left' or 'right'")
-    nodes, interface, steps = counts["nodes"], counts["interface"], counts["final_step"]
-    if nodes < min_nodes(band) or not interface < nodes:
-        raise UsageError(f"manifest {args.manifest} has nodes {nodes} and interface "
-                         f"{interface}; band width {band} needs nodes >= "
-                         f"{min_nodes(band)} and 0 < interface < nodes")
-    dx, rho_bar = scales["dx"], scales["rho_bar"]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"manifest {args.manifest} is not a simulate manifest: "
+                         f"{exc}") from exc
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
+        raise UsageError(f"manifest {args.manifest} has final_step {steps!r}, "
+                         "not an integer >= 0")  # a 0-step run compares at t = 0
+    if dx != config.dx:
+        raise UsageError(f"manifest {args.manifest} has dx {dx!r}, but its model's "
+                         f"node spacing is {config.dx!r}")
+    nodes, band = config.nodes, config.band_width
     if len(sim) != nodes:
         raise UsageError(
             f"snapshot has {len(sim)} rows but the manifest says {nodes} nodes")
     if sim_sha256 != manifest.get("output_sha256"):
         print(f"warning: {args.sim} is not the snapshot whose output_sha256 "
               f"{args.manifest} records", file=sys.stderr)
-    left = GasState(rho_bar if high == "left" else 1.0, 0.0, 1.0)
-    right = GasState(rho_bar if high == "right" else 1.0, 0.0, 1.0)
-    sol = solve_riemann(left, right)
-    x = (np.arange(nodes) - interface) * dx
+    sol = solve_riemann(config.left_state, config.right_state)
+    x = (np.arange(nodes) - config.interface) * config.dx
     exact = Snapshot(steps, *sample_profile(sol, x, float(steps)))
-    ref = {"rho": exact.rho, "u": exact.u, "theta": exact.theta,
-           "p": exact.pressure_reported}
-    got = dict(zip(("rho", "u", "theta", "p"), sim.T))
     core = slice(band + 1, nodes - band - 1)
     fields = {}
-    for name in ("rho", "u", "theta", "p"):
-        diff = np.abs(got[name][core] - ref[name][core])
+    for name, got, want in zip(("rho", "u", "theta", "p"), sim.T, (
+            exact.rho, exact.u, exact.theta, exact.pressure_reported)):
+        diff = np.abs(got[core] - want[core])
         fields[name] = {"l1": float(np.mean(diff)), "linf": float(diff.max())}
-    probes = (args.probe_low, args.probe_high)  # out of the lattice: ValueError, exit 1
-    sim_plateaus = extract_plateaus(Snapshot(steps, got["rho"], got["u"], got["theta"]),
-                                    *probes).as_dict()
+    low, high = config.probes  # a probe off the lattice is a ValueError, exit 1
+    probes = (low if args.probe_low is None else args.probe_low,
+              high if args.probe_high is None else args.probe_high)
+    sim_plateaus = extract_plateaus(Snapshot(steps, *sim.T[:3]), *probes).as_dict()
     exact_plateaus = extract_plateaus(exact, *probes).as_dict()
     plateau = {
         tag: {name: {"sim": sim_plateaus[name][i],
@@ -733,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare a run against the exact solution")
     p.add_argument("--sim", required=True, help="snapshot CSV from simulate")
     p.add_argument("--manifest", required=True, help="manifest JSON from simulate")
-    p.add_argument("--probe-low", type=int, default=430)
-    p.add_argument("--probe-high", type=int, default=650)
+    p.add_argument("--probe-low", type=int, help="default: the run's low probe node")
+    p.add_argument("--probe-high", type=int, help="default: the run's high probe node")
     p.add_argument("--max-plateau-diff", type=_threshold, default=None,
                    help="exit 3 if any plateau field differs by more")
     p.add_argument("--out", default=None)

@@ -55,6 +55,10 @@ from .riemann import GasState, solve_riemann
 # 1e5, where the arrays leave the cache).
 _BATCH_NODES = 12000
 
+_LEFT_PROBES = (430, 650)  # the plateau probe nodes of a tube dense on the left
+PLATEAU_WINDOW = 10
+FLAT_TOLERANCE = 0.02
+
 
 def min_nodes(band_width: int) -> int:
     """Shortest lattice a shock tube runs on: four boundary bands, and
@@ -82,12 +86,9 @@ class ShockTubeConfig:
     tau: float = 1.0
     steps: int | None = None
     snapshot_interval: int | None = None
-    probe_low: int = 430
-    probe_high: int = 650
 
     def __post_init__(self):
-        for name in ("nodes", "interface", "steps", "snapshot_interval",
-                     "probe_low", "probe_high"):
+        for name in ("nodes", "interface", "steps", "snapshot_interval"):
             value = getattr(self, name)
             if value is None and name in ("steps", "snapshot_interval"):
                 continue
@@ -122,6 +123,16 @@ class ShockTubeConfig:
     def right_state(self) -> GasState:
         rho = self.rho_bar if self.high_side == "right" else 1.0
         return GasState(rho, 0.0, 1.0)
+
+    @property
+    def probes(self) -> tuple[int, int]:
+        """The two plateau probe nodes, ascending.  A tube dense on the
+        right mirrors (x -> nodes - 1 - x) the left tube with interface
+        nodes - interface, so its probes mirror that tube's."""
+        low, high = _LEFT_PROBES
+        if self.high_side == "left":
+            return low, high
+        return self.nodes - 1 - high, self.nodes - 1 - low
 
     @property
     def band_width(self) -> int:
@@ -531,34 +542,34 @@ class PlateauReport:
         }
 
 
-def check_probes(nodes: int, probes: Iterable[int], window: int = 10) -> None:
-    """ValueError unless each probe is an integer node whose +-window nodes
-    lie on a lattice of `nodes` nodes."""
+def check_probes(nodes: int, probes: Iterable[int]) -> None:
+    """ValueError unless each probe is an integer node whose
+    +-PLATEAU_WINDOW nodes lie on a lattice of `nodes` nodes."""
     for probe in probes:
         if isinstance(probe, bool) or not isinstance(probe, int):
             raise ValueError(f"probe node must be an integer, got {probe!r}")
-        if not window <= probe < nodes - window:
+        if not PLATEAU_WINDOW <= probe < nodes - PLATEAU_WINDOW:
             raise ValueError(f"probe node {probe} outside the lattice")
 
 
-def extract_plateaus(snapshot: Snapshot, probe_low: int = 430,
-                     probe_high: int = 650, window: int = 10,
-                     flat_tolerance: float = 0.02) -> PlateauReport:
-    """Median readings over +-window nodes around each probe.
+def extract_plateaus(snapshot: Snapshot, probe_low: int,
+                     probe_high: int) -> PlateauReport:
+    """Median readings over +-PLATEAU_WINDOW nodes around each probe
+    (a config's are config.probes).
 
     flat marks probes whose density spread within the window stays under
-    flat_tolerance (relative); a False flag means the probe does not sit
+    FLAT_TOLERANCE (relative); a False flag means the probe does not sit
     on a converged plateau and the reading is suspect.
     """
-    check_probes(len(snapshot.rho), (probe_low, probe_high), window)
+    check_probes(len(snapshot.rho), (probe_low, probe_high))
 
     def read(field: np.ndarray, probe: int) -> float:
-        return float(np.median(field[probe - window:probe + window + 1]))
+        return float(np.median(field[probe - PLATEAU_WINDOW:probe + PLATEAU_WINDOW + 1]))
 
     def is_flat(probe: int) -> bool:
-        w = snapshot.rho[probe - window:probe + window + 1]
+        w = snapshot.rho[probe - PLATEAU_WINDOW:probe + PLATEAU_WINDOW + 1]
         mid = float(np.median(w))
-        return bool(abs(w - mid).max() <= flat_tolerance * abs(mid))
+        return bool(abs(w - mid).max() <= FLAT_TOLERANCE * abs(mid))
 
     rho = (read(snapshot.rho, probe_low), read(snapshot.rho, probe_high))
     u = (read(snapshot.u, probe_low), read(snapshot.u, probe_high))
@@ -566,7 +577,7 @@ def extract_plateaus(snapshot: Snapshot, probe_low: int = 430,
     p = (read(snapshot.pressure_reported, probe_low),
          read(snapshot.pressure_reported, probe_high))
     return PlateauReport(probe_low=probe_low, probe_high=probe_high, rho=rho,
-                         u=u, theta=theta, pressure_reported=p, window=window,
+                         u=u, theta=theta, pressure_reported=p, window=PLATEAU_WINDOW,
                          flat=(is_flat(probe_low), is_flat(probe_high)))
 
 

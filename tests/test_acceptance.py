@@ -155,7 +155,7 @@ def _plateaus(model, spec):
     result = run(config)
     assert time.perf_counter() - start < 30.0
     assert result.verdict.stable
-    return extract_plateaus(result.final, config.probe_low, config.probe_high)
+    return extract_plateaus(result.final, *config.probes)
 
 
 def test_criterion_06_shock_tube_plateaus(q5, q7, q11):

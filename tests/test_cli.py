@@ -58,6 +58,14 @@ def test_module_entry_point_prints_json():
     assert len(models) == 2  # physical branch plus the ghost branch
 
 
+def test_an_output_path_that_cannot_be_written_is_a_failure(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["derive", "--ratios", "3",
+                 "--out", str(tmp_path / "missing" / "m.json")]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("failure: ")
+
+
 # ----------------------------------------------------------------- derive
 
 
@@ -346,6 +354,39 @@ def test_simulate_writes_snapshot_and_manifest(tmp_path):
     assert manifest["plateaus"]["probe_nodes"] == [430, 650]
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert manifest["output_sha256"] == digest
+
+
+def test_simulate_without_output_paths_prints_the_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--model", "q5", "--kind", "taylor", "--order", "2", "--steps", "20"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--manifest", "m.json"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out == (tmp_path / "m.json").read_text()
+    assert json.loads(out)["final_step"] == 20
+
+
+def test_right_side_plateaus_mirror_the_left_ones_bit_for_bit(tmp_path):
+    # the right tube's probes are the left tube's mirrored, x -> nodes - 1 - x
+    plateaus = {}
+    for side in ("left", "right"):
+        path = tmp_path / f"{side}.json"
+        assert main(["simulate", "--model", "q7", "--kind", "taylor", "--order", "3",
+                     "--high-side", side, "--manifest", str(path)]) == EXIT_OK
+        plateaus[side] = load_json(path)["plateaus"]
+    left, right = plateaus["left"], plateaus["right"]
+    assert left["probe_nodes"] == [430, 650] and right["probe_nodes"] == [349, 569]
+    assert left["flat"] == right["flat"] == [True, True]
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    for name in ("rho", "theta", "p"):
+        assert bits(right[name]) == bits(left[name][::-1]), name
+    assert bits(right["u"]) == bits(-v for v in left["u"][::-1])
 
 
 def test_simulate_output_is_byte_stable(tmp_path, monkeypatch):
@@ -774,8 +815,12 @@ def test_compare_with_a_misshapen_manifest_is_a_usage_error(tmp_path, capsys, ma
     {"rho_bar": float("inf")},
     {"dx": float("nan")},
     {"high_side": "up"},
+    {"final_step": 2.5},
+    {"tau": 0.2},
+    {"dx": 1.0},
 ], ids=["dx-string", "high-side-null", "negative-steps", "float-nodes", "bool-interface",
-        "infinite-rho-bar", "nan-dx", "high-side-up"])
+        "infinite-rho-bar", "nan-dx", "high-side-up", "float-final-step", "tau-below-half",
+        "dx-not-the-models"])
 def test_compare_checks_the_manifest_config_before_use(tmp_path, capsys, edit):
     argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
     assert main(argv) == EXIT_OK
@@ -807,9 +852,24 @@ def test_compare_checks_the_lattice_size_before_use(tmp_path, monkeypatch, capsy
     assert main(["compare", "--sim", str(csv_path),
                  "--manifest", str(manifest_path)]) == EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == "" and err == (f"error: manifest {manifest_path} has nodes {nodes} and "
-                                 f"interface {interface}; band width 3 needs nodes >= 12 "
-                                 "and 0 < interface < nodes\n")
+    assert out == "" and err == (f"error: manifest {manifest_path} is not a simulate "
+                                 "manifest: lattice too small for the boundary bands: need "
+                                 "nodes >= 12 and 0 < interface < nodes, got nodes "
+                                 f"{nodes}, interface {interface}\n")
+
+
+def test_compare_defaults_to_the_probes_simulate_reports(tmp_path, capsys):
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "right", "--steps", "60",
+                                                  "--high-side", "right")
+    assert main(argv) == EXIT_OK
+    base = ["compare", "--sim", str(csv_path), "--manifest", str(manifest_path)]
+    capsys.readouterr()
+    outs = []
+    for extra in ([], ["--probe-low", "349", "--probe-high", "569"], ["--probe-low", "349"],
+                  ["--probe-low", "430", "--probe-high", "650"]):
+        assert main(base + extra) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] != outs[3]
 
 
 def test_compare_of_a_zero_step_run_is_at_time_zero(tmp_path, capsys):

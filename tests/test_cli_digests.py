@@ -79,7 +79,7 @@ SIMULATOR_CASES = {
         Q5_HERMITE3 + ["--high-side", "right"], EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "818e04df9dda5cd8778c01094a8ca0548f687e46fb5a22802d327b13ab9ceb65",
-         "m.json": "e742158102ff01fdfefaf1cad5df07a6c7f62c0ad021355857bf2ae6242f421c"}),
+         "m.json": "0b3d25c3052eebf4593d0b4adc2d65663517c646a0ee4b79d439ecc346a9c6f3"}),
     "simulate-q7-taylor3-tau08": (
         Q7_TAYLOR3 + ["--tau", "0.8", "--steps", "150"], EXIT_OK,
         {"stdout": EMPTY,
@@ -94,7 +94,7 @@ SIMULATOR_CASES = {
         Q7_TAYLOR3 + LONG_TUBE + ["--high-side", "right", "--tau", "0.6"], EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "0926a98084ac4b3c428f739a63585469c1de565edc039114bccee2e4f5256ff7",
-         "m.json": "1d9dd73403bb151c427f5d7025add98e788ce465817d96beecf0a37caa68c7fb"}),
+         "m.json": "35512840677b36e4b1ac0639598c9409d93236b2b1c777789dc60fe8488ca0d3"}),
     "simulate-unstable": (
         Q5_HERMITE3 + ["--rho-bar", "11", "--allow-unstable"], EXIT_OK,
         {"stdout": EMPTY,

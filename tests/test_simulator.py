@@ -73,6 +73,16 @@ def test_high_side_right_swaps_the_dense_half(q5):
     assert np.abs(state.rho[500:] - 3.0).max() < 1e-12
 
 
+def test_probes_mirror_with_the_dense_side(q5):
+    left = ShockTubeConfig(model=q5, expansion=TE2)
+    assert left.probes == (430, 650)
+    assert replace(left, high_side="right").probes == (349, 569)
+    # a right tube mirrors the left tube with interface nodes - interface
+    right = ShockTubeConfig(model=q5, expansion=TE2, nodes=1200, interface=700,
+                            high_side="right")
+    assert right.probes == (1199 - 650, 1199 - 430)
+
+
 def test_boundary_bands_stay_pinned(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
@@ -126,8 +136,6 @@ def test_config_validation(q3, q5):
     # bools are ints to Python: steps=True ran one step and reported True
     ("steps", True), ("snapshot_interval", True), ("interface", True),
     ("nodes", "1000"), ("interface", None), ("steps", 30.0),
-    # these ran and then failed in extract_plateaus
-    ("probe_low", 430.5), ("probe_high", True),
 ])
 def test_integer_fields_must_be_ints(q5, field, value):
     with pytest.raises(ValueError, match=field):
@@ -470,7 +478,7 @@ def test_probes_are_range_checked_only_against_a_snapshot(q21):
     # the default probes lie off a 44-node lattice, which still runs
     config = ShockTubeConfig(model=q21, expansion=TE3, nodes=44, interface=22, steps=2)
     with pytest.raises(ValueError, match="probe node 430 outside"):
-        extract_plateaus(run(config).final)
+        extract_plateaus(run(config).final, *config.probes)
 
 
 @pytest.mark.parametrize("probes,bad", [((430.5, 650), "430.5"), ((430, True), "True")])
