@@ -355,28 +355,3 @@ def clear_denominators(p: Sequence[Fraction]) -> list[int]:
         content = -content
     return [c // content for c in ints]
 
-
-def solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination with partial pivoting.  Raises
-    ValueError on a singular matrix."""
-    n = len(a)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n + 1):
-                m[r][c] -= f * m[col][c]
-    x = [_ZERO] * n
-    for r in range(n - 1, -1, -1):
-        acc = m[r][n]
-        for c in range(r + 1, n):
-            acc -= m[r][c] * x[c]
-        x[r] = acc / m[r][r]
-    return x

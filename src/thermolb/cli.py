@@ -159,7 +159,7 @@ def _load_model(ref: str) -> VelocityModel:
         model = VelocityModel.from_json_dict(data)
     except KeyError as exc:
         raise UsageError(f"model file {ref} has no {exc} entry") from exc
-    except (TypeError, IndexError, ZeroDivisionError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise UsageError(f"model file {ref} is not a derive model: {exc}") from exc
     if len(model.weights_normalized) != len(model.ratios.p) + 1:
         raise UsageError(f"model file {ref} has {len(model.weights_normalized)} weights "

@@ -7,10 +7,13 @@ even moments of the Gaussian weight exp(-v**2),
 
     sum_i w_i v_i**n = Gamma((n+1)/2)   for n = 0, 2, ..., q+1,
 
-closes the system.  Eliminating the weights from the n >= 2 rows turns the
-whole problem into a single univariate polynomial in s = v2**2 with integer
-coefficients; each positive real root is one model.  Everything up to the
-final float conversion is done in exact rational arithmetic.
+closes the system.  The n >= 2 rows are Vandermonde in the nodes
+X_i = p_i**2, so they are solved in closed form rather than by elimination:
+the coefficients of the single univariate polynomial in s = v2**2 whose
+positive real roots are the models come from the node polynomial
+prod_i (Z - p_i**2), and the weights at a root from its Lagrange basis
+(Bjorck & Pereyra, Math. Comp. 24, 1970).  Everything up to the final
+float conversion is exact.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _ratpoly as rp
-from .moments import SQRT_PI, gaussian_moment_coefficient
+from .moments import SQRT_PI, double_factorial, gaussian_moment_coefficient
 
 DEFAULT_GHOST_THRESHOLD = 1e-4
 RESIDUAL_TOLERANCE = 1e-8
@@ -77,44 +80,60 @@ class RatioTuple:
         return tuple(Fraction(x, self.p[0]) for x in self.p)
 
 
-def _weight_system(ratios: RatioTuple) -> list[list[Fraction]]:
-    """A[j][i] = pbar_i**(2(j+1)): the moment rows n = 2, 4, ..., q-1 in
-    the positive-speed weights."""
-    x = [r * r for r in ratios.ratios]
-    return [[xi ** (j + 1) for xi in x] for j in range(len(x))]
+def _node_polynomial(ratios: RatioTuple) -> list[int]:
+    """Integer coefficients E_j (constant first) of the node polynomial
+    P(Z) = prod_i (Z - p_i**2)."""
+    coeffs = [1]
+    for p in ratios.p:
+        coeffs = [0] + coeffs  # Z * P, then minus p**2 * P
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= p * p * coeffs[j + 1]
+    return coeffs
 
 
 def build_polynomial(ratios: RatioTuple) -> list[int]:
     """Integer coefficients (constant first) of the model polynomial in
-    s = v2**2.
-
-    The moment rows n = 2, 4, ..., q-1 form a Vandermonde-type system
-    A w = rhs(s) in the positive-speed weights; substituting its exact
-    solution into the n = q+1 row and clearing denominators leaves one
-    polynomial of degree (q-1)/2 whose positive roots are the admissible
+    s = v2**2, of degree (q-1)/2; its positive roots are the admissible
     squared base speeds.
+
+    Eliminating the weights through the rows n = 2..q-1 leaves the n = q+1
+    row with the c_j that interpolate x**k at the nodes x_i = pbar_i**2, so
+    x**k - sum_j c_j x**j = prod_i (x - x_i), and the coefficients come
+    straight from the node polynomial P(Z) = prod_i (Z - p_i**2) = sum_j E_j Z**j:
+    the model polynomial is sum_j E_j (2j+1)!! p_1**(2j) (2s)**(k-j).
     """
     k = len(ratios.p)
-    a = _weight_system(ratios)
-    target = [(r * r) ** (k + 1) for r in ratios.ratios]  # ratios to the power q+1
-    a_t = [[a[j][i] for j in range(k)] for i in range(k)]
-    c = rp.solve_linear(a_t, target)
-    # sum_j c_j g_{j+1} s**(k-j) - g_{k+1} = 0,  g_m = (2m-1)!!/2**m
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[0] = -gaussian_moment_coefficient(2 * (k + 1))
-    for j in range(k):
-        coeffs[k - j] += c[j] * gaussian_moment_coefficient(2 * (j + 1))
+    x1 = ratios.p[0] ** 2
+    coeffs = [0] * (k + 1)
+    for j, e in enumerate(_node_polynomial(ratios)):
+        coeffs[k - j] = e * double_factorial(2 * j + 1) * x1**j * 2 ** (k - j)
     return rp.clear_denominators(coeffs)
 
 
 def _solve_weights(ratios: RatioTuple, s: Fraction) -> list[Fraction]:
     """Positive-speed weights (normalized by sqrt(pi)) for squared base
-    speed s, solved exactly from the moment rows n = 2..q-1."""
+    speed s > 0, the exact solution of the moment rows n = 2..q-1.
+
+    The rows are Vandermonde in X_i = p_i**2, so P's Lagrange basis solves
+    them: with Q_i = P / (Z - X_i), B_ij = Q_i[j] (2j+1)!! and
+    U = p_1**2 / (2s) = Un/Ud,  w_i = U sum_j B_ij U**j / (2 X_i P'(X_i)),
+    where P'(X_i) = Q_i(X_i) and the sum is an integer homogeneous Horner
+    sum over Ud**(k-1).
+    """
     k = len(ratios.p)
-    a = _weight_system(ratios)
-    rhs = [gaussian_moment_coefficient(2 * (j + 1)) / (2 * s ** (j + 1))
-           for j in range(k)]
-    return rp.solve_linear(a, rhs)
+    node = _node_polynomial(ratios)
+    un, ud = ratios.p[0] ** 2 * s.denominator, 2 * s.numerator
+    scale = [double_factorial(2 * j + 1) * ud ** (k - 1 - j) for j in range(k)]
+    weights = []
+    for p in ratios.p:
+        x = p * p
+        q = dp = h = 0
+        for j in range(k - 1, -1, -1):
+            q = q * x + node[j + 1]  # Q_i[j], by synthetic division
+            dp = dp * x + q
+            h = h * un + q * scale[j]
+        weights.append(Fraction(un * h, 2 * x * dp * ud**k))
+    return weights
 
 
 @dataclass(frozen=True)
@@ -195,6 +214,9 @@ class VelocityModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VelocityModel":
+        for x in d["p"]:
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1:
+                raise ValueError(f"lattice number {x!r} in 'p' is not an integer")
         ratios = RatioTuple(tuple(int(x) for x in d["p"]))
         s_exact = None
         if "s_exact" in d:

@@ -314,7 +314,11 @@ def test_model_reference_accepts_a_derive_file(tmp_path, capsys):
     (lambda m: m.pop("weights_normalized"), "no 'weights_normalized' entry"),
     (lambda m: m["weights_normalized"].pop(), "2 weights for 3 speeds"),
     (lambda m: m.update(s_exact=[1]), "not a derive model"),
-], ids=["missing-weights", "too-few-weights", "short-s-exact"])
+    (lambda m: m.update(p=[math.inf]), "not a derive model: lattice number inf"),
+    (lambda m: m.update(p=[1, 3.9]), "not a derive model: lattice number 3.9"),
+    (lambda m: m.update(p=[True, 3]), "not a derive model: lattice number True"),
+], ids=["missing-weights", "too-few-weights", "short-s-exact", "infinite-p", "fractional-p",
+        "bool-p"])
 def test_misshapen_model_file_is_a_usage_error(tmp_path, capsys, edit, message):
     model_file = tmp_path / "m.json"
     assert main(["derive", "--q", "5", "--ratios", "3", "--out", str(model_file)]) == EXIT_OK

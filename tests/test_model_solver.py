@@ -29,7 +29,7 @@ from thermolb import (
     solve_model,
 )
 from thermolb import _ratpoly as rp
-from thermolb.model_solver import CATALOG, catalog_names
+from thermolb.model_solver import CATALOG, _solve_weights, catalog_names
 from thermolb.moments import gaussian_moment_coefficient
 
 # (ratios beyond base, reference v2) -- six-decimal reference speeds
@@ -379,11 +379,95 @@ def test_clear_denominators():
     assert rp.clear_denominators([Fraction(0)]) == [0]
 
 
+def solve_linear(a, b):
+    """Exact oracle: Gaussian elimination with partial pivoting in
+    Fractions.  Raises ValueError on a singular matrix."""
+    n = len(a)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if m[piv][col] == 0:
+            raise ValueError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n + 1):
+                m[r][c] -= f * m[col][c]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = acc / m[r][r]
+    return x
+
+
 def test_solve_linear_exact():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     b = [Fraction(5), Fraction(10)]
-    x = rp.solve_linear(a, b)
-    assert x == [Fraction(1), Fraction(3)]
+    assert solve_linear(a, b) == [Fraction(1), Fraction(3)]
+    with pytest.raises(ValueError, match="singular"):
+        solve_linear([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], b)
+
+
+def oracle_weights(ratios, s):
+    """Positive-speed weights by eliminating the moment rows n = 2..q-1,
+    sum_i 2 w_i pbar_i**n s**(n/2) = g_n, in Fractions."""
+    x = [r * r for r in ratios.ratios]
+    a = [[xi ** (j + 1) for xi in x] for j in range(len(x))]
+    rhs = [gaussian_moment_coefficient(2 * (j + 1)) / (2 * s ** (j + 1))
+           for j in range(len(x))]
+    return solve_linear(a, rhs)
+
+
+def oracle_polynomial(ratios):
+    """The model polynomial by elimination: the rows n = 2..q-1 fix c with
+    sum_j c_j x_i**(j+1) = x_i**(k+1); substituting the weights into the
+    n = q+1 row gives sum_j c_j g_{j+1} s**(k-j) - g_{k+1} = 0."""
+    k = len(ratios.p)
+    x = [r * r for r in ratios.ratios]
+    c = solve_linear([[xi ** (j + 1) for j in range(k)] for xi in x],
+                     [xi ** (k + 1) for xi in x])
+    coeffs = [Fraction(0)] * (k + 1)
+    coeffs[0] = -gaussian_moment_coefficient(2 * (k + 1))
+    for j in range(k):
+        coeffs[k - j] += c[j] * gaussian_moment_coefficient(2 * (j + 1))
+    return rp.clear_denominators(coeffs)
+
+
+@st.composite
+def ratio_tuples(draw):
+    p = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=10)))
+    g = math.gcd(*p)
+    return RatioTuple(tuple(x // g for x in p))
+
+
+# small rationals, and dyadics with denominators above 2**100 like the
+# midpoints refine_root returns
+squared_speeds = st.one_of(
+    st.fractions(Fraction(1, 1000), Fraction(20), max_denominator=1000),
+    st.builds(lambda n, e: Fraction(n, 2**e),
+              st.integers(1, 2**140), st.integers(101, 130)),
+)
+
+
+@given(ratio_tuples())
+@settings(max_examples=60, deadline=None)
+@example(RatioTuple((1,)))
+@example(RatioTuple((1, 3)))
+@example(RatioTuple((1, 2, 3, 4, 5, 6, 7, 8, 9, 11)))
+def test_build_polynomial_equals_the_elimination_oracle(ratios):
+    assert build_polynomial(ratios) == oracle_polynomial(ratios)
+
+
+@given(ratio_tuples(), squared_speeds)
+@settings(max_examples=60, deadline=None)
+@example(RatioTuple((1, 2, 3, 4, 5, 6, 7, 8, 9, 11)), Fraction(3, 2))
+def test_solve_weights_equals_the_elimination_oracle(ratios, s):
+    weights = _solve_weights(ratios, s)
+    assert weights == oracle_weights(ratios, s)
+    assert all(type(w) is Fraction for w in weights)
+    for n in range(2, ratios.q, 2):
+        got = 2 * sum(w * r**n for w, r in zip(weights, ratios.ratios)) * s ** (n // 2)
+        assert got == gaussian_moment_coefficient(n), n
 
 
 def test_exact_rational_roots_quadratic():
