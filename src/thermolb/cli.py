@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -317,6 +318,27 @@ def cmd_verify(args) -> int:
 
 _SNAPSHOT_HEADER = "X,rho,u,theta,p\n"
 _SNAPSHOT_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
+_BLOCK_ROWS = 64  # runs longer than this write their repeats as byte blocks
+
+
+def _repeated_rows(start: int, end: int, suffix: str) -> list[str]:
+    """The rows start..end-1, each its index followed by suffix: one uint8
+    block per stretch of indices with the same digit count, its digits
+    filled column by column and the block decoded once."""
+    tail = np.frombuffer(suffix.encode(), dtype=np.uint8)
+    texts = []
+    while start < end:
+        width = len(str(start))
+        stop = min(end, 10 ** width)
+        block = np.empty((stop - start, width + len(tail)), dtype=np.uint8)
+        block[:, width:] = tail
+        index = np.arange(start, stop, dtype=np.min_scalar_type(stop))
+        for col in range(width - 1, -1, -1):
+            index, digit = np.divmod(index, 10)
+            block[:, col] = digit + ord("0")
+        texts.append(str(block, "ascii"))
+        start = stop
+    return texts
 
 
 def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
@@ -327,19 +349,25 @@ def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
     Riemann profile is piecewise constant, so most rows repeat the one
     above.  Only a run's first row goes through the format string; each
     other row is its own index followed by the first row's text after its
-    index.  Rows are compared by their float64 bit patterns, because
-    -0.0 == 0.0 prints differently and a NaN never compares equal."""
+    index, written as byte blocks in runs longer than _BLOCK_ROWS.  Rows
+    are compared by their float64 bit patterns, because -0.0 == 0.0 prints
+    differently and a NaN never compares equal."""
     cols = np.stack((rho, u, theta, rho * theta), axis=1)
     bits = cols.view(np.int64)
     first = np.ones(len(cols), dtype=bool)
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     bounds = np.append(np.flatnonzero(first), len(cols))
-    lines = [_SNAPSHOT_ROW % row for row in zip(bounds.tolist(), *cols[first].T.tolist())]
-    for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
+    lines = [_SNAPSHOT_HEADER]
+    lines += [_SNAPSHOT_ROW % row for row in zip(bounds.tolist(), *cols[first].T.tolist())]
+    # backwards, so that inserting a run's blocks keeps the earlier lines' places
+    for k in np.flatnonzero(np.diff(bounds) > 1).tolist()[::-1]:
         start, end = bounds[k:k + 2].tolist()
-        suffix = lines[k][len(str(start)):]
-        lines[k] += suffix.join(map(str, range(start + 1, end))) + suffix
-    return _SNAPSHOT_HEADER + "".join(lines)
+        suffix = lines[k + 1][len(str(start)):]
+        if end - start > _BLOCK_ROWS:
+            lines[k + 2:k + 2] = _repeated_rows(start + 1, end, suffix)
+        else:
+            lines[k + 1] += suffix.join(map(str, range(start + 1, end))) + suffix
+    return "".join(lines)
 
 
 def _config_dict(config: ShockTubeConfig, steps: int) -> dict:
@@ -640,6 +668,7 @@ def cmd_catalog(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+@functools.cache  # parse_args keeps no state between calls, every default is immutable
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermolb",
@@ -654,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of speed ratios beyond the base (e.g. 2,3)")
     p.add_argument("--ghost-threshold", type=_threshold, default=1e-4)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("sweep", help="sweep one free ratio over a grid")
     p.add_argument("--ratios", default="?",
@@ -666,14 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump polynomial residuals over v2 range lo:hi:n")
     p.add_argument("--residual-out", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("expand", help="dump an equilibrium expansion table")
     p.add_argument("--kind", required=True, help="taylor or hermite")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--theta0", default="1")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="check guaranteed moments of a model+expansion")
     p.add_argument("--model", required=True, help="catalog name or model JSON path")
@@ -681,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--tolerance", type=_threshold, default=1e-10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run a shock tube")
     p.add_argument("--model", required=True)
@@ -703,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-stable", action="store_true")
     p.add_argument("--allow-unstable", action="store_true",
                    help="exit 0 even if the run goes unstable")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("riemann", help="solve a reference Riemann problem")
     p.add_argument("--left", required=True, help="rho,u,theta")
@@ -715,7 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=float, default=1.0)
     p.add_argument("--csv", default=None, help="sampled profile CSV path")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_riemann)
 
     p = sub.add_parser("compare", help="compare a run against the exact solution")
     p.add_argument("--sim", required=True, help="snapshot CSV from simulate")
@@ -725,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-plateau-diff", type=_threshold, default=None,
                    help="exit 3 if any plateau field differs by more")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("stability-scan", help="stability verdicts over a grid")
     p.add_argument("--models", required=True, help="comma list of model refs")
@@ -740,13 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "groups, >= 1 (default: THERMOLB_WORKERS or 1); the "
                         "output is the same for any count")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_stability_scan)
 
     p = sub.add_parser("catalog", help="list built-in models")
     p.add_argument("--regenerate", action="store_true",
                    help="re-derive each model and report the deviation")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_catalog)
     return parser
 
 
@@ -760,7 +780,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "workers"):  # simulate and stability-scan
             worker_count(args.workers)
-        return args.func(args)
+        # looked up when called, not bound in the cached parser, so that a
+        # wrapper set on this module's cmd_* (a tracer, a test) is what runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

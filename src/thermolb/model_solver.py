@@ -218,6 +218,12 @@ class VelocityModel:
             if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1:
                 raise ValueError(f"lattice number {x!r} in 'p' is not an integer")
         ratios = RatioTuple(tuple(int(x) for x in d["p"]))
+        ghosts, all_positive = d["ghosts"], d["all_positive"]
+        if (not isinstance(ghosts, list) or len(ghosts) != len(ratios.p) + 1
+                or not all(isinstance(g, bool) for g in ghosts)):
+            raise ValueError(f"'ghosts' must be {len(ratios.p) + 1} booleans, got {ghosts!r}")
+        if not isinstance(all_positive, bool):
+            raise ValueError(f"'all_positive' must be a boolean, got {all_positive!r}")
         s_exact = None
         if "s_exact" in d:
             s_exact = Fraction(d["s_exact"][0], d["s_exact"][1])
@@ -226,8 +232,8 @@ class VelocityModel:
             v2=float(d["v2"]),
             weights_normalized=tuple(float(w) for w in d["weights_normalized"]),
             residual=float(d["residual"]),
-            ghost_flags=tuple(bool(g) for g in d["ghosts"]),
-            all_positive=bool(d["all_positive"]),
+            ghost_flags=tuple(ghosts),
+            all_positive=all_positive,
             s_exact=s_exact,
         )
 

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermolb.cli import (EXIT_EXPECTATION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                          _csv_lines, _read_snapshot_csv, _snapshot_csv, main)
+                          _csv_lines, _read_snapshot_csv, _snapshot_csv, build_parser,
+                          main)
 from thermolb.equilibrium import ExpansionSpec, expand
 from thermolb.riemann import GasState, sample_profile, solve_riemann
 
@@ -48,6 +49,28 @@ def test_version_flag_and_missing_subcommand(capsys):
     assert capsys.readouterr().out.strip()
     assert main([]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+def test_consecutive_calls_on_the_cached_parser_keep_their_own_results(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    capsys.readouterr()
+    calls = [(["derive", "--ratios", "3"], EXIT_OK),
+             (["derive", "--q", "five"], EXIT_USAGE),
+             (["verify", "--model", "q5", "--kind", "hermite", "--order", "3"], EXIT_OK),
+             (["derive", "--ratios", "3"], EXIT_OK)]
+    outputs = []
+    for argv, code in calls:
+        assert main(argv) == code
+        outputs.append(capsys.readouterr())
+    derive, bad, verify, again = outputs
+    assert len(json.loads(derive.out)) == 2 and derive.err == ""
+    assert bad.out == "" and "argument --q: invalid int value: 'five'" in bad.err
+    assert bad.err.startswith("usage: thermolb derive")
+    assert json.loads(verify.out)["passed"] is True and verify.err == ""
+    assert again == derive
+    # the command runs from the module when called, so a wrapper set later runs
+    monkeypatch.setattr("thermolb.cli.cmd_catalog", lambda args: EXIT_EXPECTATION)
+    assert main(["catalog"]) == EXIT_EXPECTATION
 
 
 def test_module_entry_point_prints_json():
@@ -317,8 +340,12 @@ def test_model_reference_accepts_a_derive_file(tmp_path, capsys):
     (lambda m: m.update(p=[math.inf]), "not a derive model: lattice number inf"),
     (lambda m: m.update(p=[1, 3.9]), "not a derive model: lattice number 3.9"),
     (lambda m: m.update(p=[True, 3]), "not a derive model: lattice number True"),
+    (lambda m: m.update(ghosts="xyz"), "not a derive model: 'ghosts' must be 3 booleans"),
+    (lambda m: m["ghosts"].pop(), "not a derive model: 'ghosts' must be 3 booleans"),
+    (lambda m: m.update(all_positive="no"),
+     "not a derive model: 'all_positive' must be a boolean, got 'no'"),
 ], ids=["missing-weights", "too-few-weights", "short-s-exact", "infinite-p", "fractional-p",
-        "bool-p"])
+        "bool-p", "string-ghosts", "short-ghosts", "string-all-positive"])
 def test_misshapen_model_file_is_a_usage_error(tmp_path, capsys, edit, message):
     model_file = tmp_path / "m.json"
     assert main(["derive", "--q", "5", "--ratios", "3", "--out", str(model_file)]) == EXIT_OK
@@ -494,14 +521,14 @@ def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
 
 
 @st.composite
-def snapshot_runs(draw):
+def snapshot_runs(draw, lengths=st.integers(1, 12)):
     """(length, (rho, u, theta) indices into VALUES) per run.  A run after
     the first is fresh, or its neighbour with one value changed (the other
     zero or NaN payload where there is one), or its neighbour with rho and
     theta swapped, which leaves p = rho * theta the same."""
     runs = []
     for _ in range(draw(st.integers(0, 12))):
-        length = draw(st.integers(1, 12))
+        length = draw(lengths)
         how = draw(st.sampled_from(["fresh", "twin", "swap"]) if runs else st.just("fresh"))
         if how == "fresh":
             row = tuple(draw(st.integers(0, len(VALUES) - 1)) for _ in range(3))
@@ -529,6 +556,10 @@ def snapshot_columns(runs):
 @example(runs=[(99_990, (10, 11, 12)), (20, (11, 11, 10)), (5, (5, 11, 6))])
 @example(runs=[(99_999, (10, 11, 12)), (2, (10, 11, 12))])  # one run over 99999 -> 100000
 def test_snapshot_csv_formats_runs_of_rows_like_the_row_by_row_writer(runs):
+    assert_writes_like_the_row_by_row_writer(runs)
+
+
+def assert_writes_like_the_row_by_row_writer(runs):
     rho, u, theta = snapshot_columns(runs)
     with np.errstate(all="ignore"):  # subnormal and 0 * inf products
         text = _snapshot_csv(rho, u, theta)
@@ -536,6 +567,23 @@ def test_snapshot_csv_formats_runs_of_rows_like_the_row_by_row_writer(runs):
     rows = [[i, *cells] for i, cells in enumerate(zip(rho.tolist(), u.tolist(),
                                                       theta.tolist(), p.tolist()))]
     assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
+
+
+@st.composite
+def long_snapshot_runs(draw):
+    """snapshot_runs of 1-300 rows after a first run that ends up to 300
+    rows before node 10, 100, 1000 or 99,990, so that runs long enough to
+    be written as byte blocks split at a power of ten in their middle."""
+    near = draw(st.sampled_from([10, 100, 1000, 99_990]))
+    first = (draw(st.integers(max(1, near - 300), near)),
+             tuple(draw(st.integers(0, len(VALUES) - 1)) for _ in range(3)))
+    return [first, *draw(snapshot_runs(lengths=st.integers(1, 300)))]
+
+
+@settings(max_examples=16, deadline=None)  # ~1 s for each example near 99,990
+@given(runs=long_snapshot_runs())
+def test_snapshot_csv_writes_long_runs_like_the_row_by_row_writer(runs):
+    assert_writes_like_the_row_by_row_writer(runs)
 
 
 def loadtxt_reader(path):
