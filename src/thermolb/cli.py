@@ -318,7 +318,6 @@ def cmd_verify(args) -> int:
 
 _SNAPSHOT_HEADER = "X,rho,u,theta,p\n"
 _SNAPSHOT_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
-_BLOCK_ROWS = 64  # runs longer than this write their repeats as byte blocks
 
 
 def _repeated_rows(start: int, end: int, suffix: str) -> list[str]:
@@ -349,9 +348,9 @@ def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
     Riemann profile is piecewise constant, so most rows repeat the one
     above.  Only a run's first row goes through the format string; each
     other row is its own index followed by the first row's text after its
-    index, written as byte blocks in runs longer than _BLOCK_ROWS.  Rows
-    are compared by their float64 bit patterns, because -0.0 == 0.0 prints
-    differently and a NaN never compares equal."""
+    index, written as byte blocks.  Rows are compared by their float64 bit
+    patterns, because -0.0 == 0.0 prints differently and a NaN never
+    compares equal."""
     cols = np.stack((rho, u, theta, rho * theta), axis=1)
     bits = cols.view(np.int64)
     first = np.ones(len(cols), dtype=bool)
@@ -363,10 +362,7 @@ def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
     for k in np.flatnonzero(np.diff(bounds) > 1).tolist()[::-1]:
         start, end = bounds[k:k + 2].tolist()
         suffix = lines[k + 1][len(str(start)):]
-        if end - start > _BLOCK_ROWS:
-            lines[k + 2:k + 2] = _repeated_rows(start + 1, end, suffix)
-        else:
-            lines[k + 1] += suffix.join(map(str, range(start + 1, end))) + suffix
+        lines[k + 2:k + 2] = _repeated_rows(start + 1, end, suffix)
     return "".join(lines)
 
 

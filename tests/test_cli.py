@@ -572,8 +572,8 @@ def assert_writes_like_the_row_by_row_writer(runs):
 @st.composite
 def long_snapshot_runs(draw):
     """snapshot_runs of 1-300 rows after a first run that ends up to 300
-    rows before node 10, 100, 1000 or 99,990, so that runs long enough to
-    be written as byte blocks split at a power of ten in their middle."""
+    rows before node 10, 100, 1000 or 99,990, so that the byte blocks of a
+    run's repeated rows split at a power of ten in the run's middle."""
     near = draw(st.sampled_from([10, 100, 1000, 99_990]))
     first = (draw(st.integers(max(1, near - 300), near)),
              tuple(draw(st.integers(0, len(VALUES) - 1)) for _ in range(3)))
