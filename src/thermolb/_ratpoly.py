@@ -3,12 +3,13 @@
 Polynomials are dense coefficient lists with the constant term first.
 Everything in this module is exact (``fractions.Fraction`` or plain
 ``int``); floating point never enters until the caller converts a result.
-The degrees are tiny (at most (q-1)/2 for a q-velocity model), so the
-polynomial algebra (division, gcd, Sturm chains) stays in Fractions.  The
-loops that evaluate signs at many points (Sturm counts, the isolation
-splits, root refinement) instead evaluate the integer form of a polynomial
-with a homogeneous Horner sum at x = n/d, and the rational-root search
-tests only candidates that pass the divisibility filters.
+The helpers take any rational coefficients but clear denominators first:
+the algebra runs on primitive integer polynomials, with pseudo-remainders
+divided by their content (Collins, J. ACM 14, 1967; Knuth, TAOCP vol. 2,
+4.6.1) and exact integer deflation.  Each form is a multiple of the
+Fraction polynomial it stands for, and a positive one in Sturm chains, so
+roots, signs and sign counts are those of the Fraction algebra.  Signs at
+x = n/d come from a homogeneous Horner sum in integers.
 """
 from __future__ import annotations
 
@@ -16,28 +17,20 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Poly = list[Fraction]
 
-_ZERO = Fraction(0)
-
-
-def trim(p: Sequence[Fraction]) -> Poly:
+def trim(p: Sequence) -> list:
     p = list(p)
     while len(p) > 1 and p[-1] == 0:
         p.pop()
-    return p if p else [_ZERO]
+    return p if p else [0]
 
 
-def degree(p: Sequence[Fraction]) -> int:
+def degree(p: Sequence) -> int:
     return len(trim(p)) - 1
 
 
-def is_zero(p: Sequence[Fraction]) -> bool:
-    return all(c == 0 for c in p)
-
-
-def eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = _ZERO
+def eval_at(p: Sequence, x: Fraction) -> Fraction:
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -70,74 +63,84 @@ def eval_float(p: Sequence, x: float) -> float:
     return acc
 
 
-def derivative(p: Sequence[Fraction]) -> Poly:
+def derivative(p: Sequence) -> list:
     if len(p) <= 1:
-        return [_ZERO]
+        return [0]
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def divmod_poly(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num, den = trim(num), trim(den)
-    if is_zero(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    dd, lc = len(den) - 1, den[-1]
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the positive gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, in integers: each
+    step scales the remainder by |lc(b)| / g (g the gcd of both leading
+    terms) and subtracts sign(lc(b)) * lead / g times b, shifted."""
+    lc = b[-1]
+    db, sgn = len(b) - 1, 1 if lc > 0 else -1
+    rem = trim(a)
+    while len(rem) - 1 >= db and any(rem):
+        g = math.gcd(rem[-1], lc)
+        scale, coef = abs(lc) // g, sgn * rem[-1] // g
+        shift = len(rem) - 1 - db
+        rem = [c * scale for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= coef * c
+        rem = trim(rem[:-1])  # leading entry is now exactly zero
+    return rem
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den for integer polynomials; ValueError unless den divides num
+    in Z[x] (for primitive den, the same as dividing it in Q[x])."""
+    db, lc = len(den) - 1, den[-1]
     rem = list(num)
-    if len(rem) - 1 < dd:
-        return [_ZERO], trim(rem)
-    quo = [_ZERO] * (len(rem) - dd)
-    while len(rem) - 1 >= dd and not is_zero(rem):
-        shift = len(rem) - 1 - dd
-        coef = rem[-1] / lc
-        quo[shift] = coef
+    quo = [0] * (len(num) - db)
+    for shift in range(len(quo) - 1, -1, -1):
+        quo[shift] = coef = rem[shift + db] // lc
         for i, c in enumerate(den):
             rem[shift + i] -= coef * c
-        rem.pop()  # leading entry is now exactly zero
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return trim(quo), trim(rem)
+    if any(rem):
+        raise ValueError("not an exact divisor")
+    return quo
 
 
-def gcd_poly(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    a, b = trim(a), trim(b)
-    while not is_zero(b):
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    if is_zero(a):
-        return [_ZERO]
-    lc = a[-1]
-    return [c / lc for c in a]  # monic normalization
+def square_free_part(p: Sequence) -> list[int]:
+    """p over gcd(p, p'), as a primitive integer polynomial with a positive
+    leading coefficient; the gcd is a primitive pseudo-remainder sequence."""
+    ints = clear_denominators(p)
+    a, b = ints, _primitive(derivative(ints))
+    while any(b):
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if len(a) <= 1:  # a constant gcd: p is square-free
+        return ints
+    return _exact_quotient(ints, a if a[-1] > 0 else [-c for c in a])
 
 
-def square_free_part(p: Sequence[Fraction]) -> Poly:
-    p = trim(p)
-    if degree(p) <= 1:
-        return p
-    g = gcd_poly(p, derivative(p))
-    if degree(g) == 0:
-        return p
-    q, r = divmod_poly(p, g)
-    assert is_zero(r)
-    return q
+def deflate(p: Sequence, root: Fraction) -> list[int]:
+    """Divide out an exact root n/d: p's integer form over (d x - n), a
+    positive multiple of p / (x - root).  ValueError if root is not one."""
+    return _exact_quotient(int_form(trim(p)), [-root.numerator, root.denominator])
 
 
-def deflate(p: Sequence[Fraction], root: Fraction) -> Poly:
-    """Divide out an exact root (x - root)."""
-    q, r = divmod_poly(p, [-root, Fraction(1)])
-    if not is_zero(r):
-        raise ValueError("not an exact root")
-    return q
+def sturm_chain(p: Sequence) -> list[list[int]]:
+    """Sturm sequence of p as primitive integer polynomials.
 
-
-def sturm_chain(p: Sequence[Fraction]) -> list[list[int]]:
-    """Sturm sequence of p, each member in its integer form (a positive
-    multiple, so every sign and sign count is that of the true chain)."""
-    chain = [trim(p), derivative(p)]
-    while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        if is_zero(r):
+    Each member is a positive multiple of the member of the Fraction chain
+    p, p', -rem(p_{i-1}, p_i), ..., so every sign and sign count is that of
+    the true chain: the pseudo-remainders scale by positive factors only,
+    and each is divided by its positive content."""
+    ints = int_form(trim(p))
+    chain = [_primitive(ints), _primitive(derivative(ints))]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not any(r):
             break
-        chain.append([-c for c in r])
-    return [int_form(c) for c in chain if not is_zero(c)]
+        chain.append(_primitive([-c for c in r]))
+    return [c for c in chain if any(c)]
 
 
 def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
@@ -151,12 +154,12 @@ def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
+def cauchy_bound(p: Sequence) -> Fraction:
     p = trim(p)
     lc = abs(p[-1])
     if lc == 0:
         raise ValueError("zero polynomial")
-    return 1 + max((abs(c) / lc for c in p[:-1]), default=_ZERO)
+    return 1 + Fraction(max((abs(c) for c in p[:-1]), default=0), lc)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -229,7 +232,7 @@ def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     if d <= 0:
         return []
     if d == 1:
-        root = -p[0] / p[1]
+        root = Fraction(-p[0]) / p[1]
         return [root] if root > 0 else []
     if d == 2:
         c, b, a = p[0], p[1], p[2]
@@ -252,11 +255,12 @@ def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     roots = []
     for n in nums:
         for dd in dens:
-            if math.gcd(n, dd) != 1 or n * lead >= dd * bound:
-                continue
             # P = (dd x - n) Q with integer Q: dd - n divides P(1) (and 0
-            # divides only 0), dd + n divides P(-1)
+            # divides only 0), dd + n divides P(-1); this rejects most pairs,
+            # so it runs before the gcd and bound tests
             if (at_one % (dd - n) if dd != n else at_one) or at_minus_one % (dd + n):
+                continue
+            if math.gcd(n, dd) != 1 or n * lead >= dd * bound:
                 continue
             cand = Fraction(n, dd)
             if eval_at(p, cand) == 0:
@@ -270,7 +274,9 @@ def isolate_positive_roots(p: Sequence[Fraction]):
     Returns (exact, intervals): ``exact`` is a sorted list of roots known
     as exact Fractions, ``intervals`` a list of (lo, hi) Fraction pairs
     each containing exactly one simple irrational root of the square-free
-    part, with p(lo) and p(hi) nonzero and of opposite sign.
+    part, with p(lo) and p(hi) nonzero and of opposite sign.  It works on
+    primitive integer forms; they leave the (scale-invariant) Cauchy bound
+    and every sign count as in Fractions, so the intervals are the same.
     """
     sf = square_free_part(trim(p))
     # strip roots at s = 0
@@ -349,9 +355,6 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 def clear_denominators(p: Sequence[Fraction]) -> list[int]:
     """The primitive integer multiple of p with a positive leading
     coefficient."""
-    ints = int_form(trim(p))
-    content = math.gcd(*ints) or 1  # 0 for the zero polynomial
-    if ints[-1] < 0:
-        content = -content
-    return [c // content for c in ints]
+    ints = _primitive(int_form(trim(p)))
+    return ints if ints[-1] >= 0 else [-c for c in ints]
 

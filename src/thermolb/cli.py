@@ -247,9 +247,9 @@ def cmd_sweep(args) -> int:
         vals = fixed[:free] + [ratio_val] + fixed[free:]
         try:
             ratios = RatioTuple.from_ratios(vals)
-            models = solve_model(ratios)
         except ValueError:
-            ratios, models = None, []
+            ratios = None
+        models = [] if ratios is None else solve_model(ratios)
         results.append((g, ratios, models))
         max_branches = max(max_branches, len(models))
     k = len(fixed) + 2  # positive speeds: the base one and one per ratio slot

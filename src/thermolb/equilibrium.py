@@ -130,10 +130,12 @@ def moment_accuracy(model: VelocityModel, spec: ExpansionSpec) -> int:
     return min(spec.order, model.q + 2 - expand(spec).v_degree)
 
 
-def _mb_moment_series(m: int, spec: ExpansionSpec) -> dict[tuple[int, int], Fraction]:
-    """Exact (u, t) polynomial of the m-th Maxwell-Boltzmann raw moment at
-    unit density, truncated by the expansion's keep rule.  Keys are
-    (u_pow, t_pow)."""
+@functools.cache
+def _mb_moment_series(m: int, spec: ExpansionSpec) -> tuple[tuple[int, int, float], ...]:
+    """(u, t) polynomial of the m-th Maxwell-Boltzmann raw moment at unit
+    density, truncated by the expansion's keep rule: its (u_pow, t_pow,
+    coefficient) terms in key order, summed exactly and then rounded to
+    floats, built once per (m, spec)."""
     theta0 = spec.theta0
     out: dict[tuple[int, int], Fraction] = {}
     for k in range(0, m + 1, 2):
@@ -144,7 +146,7 @@ def _mb_moment_series(m: int, spec: ExpansionSpec) -> dict[tuple[int, int], Frac
             if spec.keeps(a, b):
                 coef = base * math.comb(j, ell) * theta0 ** (j - ell)
                 out[(a, b)] = out.get((a, b), Fraction(0)) + coef
-    return out
+    return tuple((a, b, float(c)) for (a, b), c in sorted(out.items()))
 
 
 def truncated_mb_moment(m: int, spec: ExpansionSpec, rho: float, u: float,
@@ -152,9 +154,7 @@ def truncated_mb_moment(m: int, spec: ExpansionSpec, rho: float, u: float,
     """m-th raw moment of the truncated (not the full) Maxwell-Boltzmann
     density; this is what a discrete equilibrium can match exactly."""
     t = theta - float(spec.theta0)
-    series = _mb_moment_series(m, spec)
-    return rho * math.fsum(float(c) * u**a * t**b
-                           for (a, b), c in sorted(series.items()))
+    return rho * math.fsum(c * u**a * t**b for a, b, c in _mb_moment_series(m, spec))
 
 
 class DiscreteEquilibrium:

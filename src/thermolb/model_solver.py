@@ -261,11 +261,16 @@ def _assemble_model(ratios: RatioTuple, s: Fraction, exact: bool,
     wpos = _solve_weights(ratios, s)
     w0 = 1 - 2 * sum(wpos)
     wnorm_exact = (w0, *wpos)
-    v2 = math.sqrt(float(s))
+    try:
+        v2 = math.sqrt(float(s))
+        wnorm = tuple(float(w) for w in wnorm_exact)
+    except OverflowError:
+        raise ValueError(
+            f"the speed or weights of the model {ratios.p} do not fit a float") from None
     model = VelocityModel(
         ratios=ratios,
         v2=v2,
-        weights_normalized=tuple(float(w) for w in wnorm_exact),
+        weights_normalized=wnorm,
         residual=0.0,
         ghost_flags=(False,) * (len(wpos) + 1),
         all_positive=all(w >= 0 for w in wnorm_exact),
@@ -284,7 +289,7 @@ def solve_model(ratios: RatioTuple, *,
     roots are bisected to ~1e-33 relative accuracy before float conversion.
     Returns an empty list when no positive real root exists.
     """
-    poly = [Fraction(c) for c in build_polynomial(ratios)]
+    poly = build_polynomial(ratios)
     exact_roots, intervals = rp.isolate_positive_roots(poly)
     found: list[tuple[Fraction, bool]] = [(r, True) for r in exact_roots]
     for lo, hi in intervals:

@@ -143,6 +143,23 @@ def test_derive_usage_errors():
     assert main(["derive", "--ratios", "3/0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--ratios", "1e160"],
+    ["derive", "--ratios", "1e400"],
+    ["sweep", "--ratios", "?", "--grid", "1e400:1e400:1"],
+    ["sweep", "--ratios", "2,?", "--grid", "3:1e200:1e199"],
+], ids=["derive-1e160", "derive-1e400", "sweep-1e400", "sweep-2-1e200"])
+def test_a_model_that_overflows_a_float_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--out", "out"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the speed or weights of the model (")
+    assert err.endswith(") do not fit a float\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ sweep
 
 

@@ -33,6 +33,11 @@ CASES = {
         {"stdout": EMPTY,
          "table.csv": "34db486a5c86ddc3e3811a067b5335ce19246345b1b51a73fb8bb90baedec0a6",
          "res.csv": "457a7f8bd951a57d8bbf2e32d9b8dd8c30f8bed02a443c835e244d119b353b27"}),
+    # a degree-3 model polynomial at every grid point
+    "sweep-degree3": (
+        ["sweep", "--ratios", "2,3,?", "--grid", "4:10:1/4", "--out", "table.csv"], EXIT_OK,
+        {"stdout": EMPTY,
+         "table.csv": "130e5d39645a96c22d09e74cbfbf7b0b5f08fee9014835d1a02dddc2f5cb5609"}),
     "sweep-inverse-grid": (
         ["sweep", "--ratios", "2,?", "--grid", "3:5:1", "--inverse-grid",
          "--residual-grid", "0.2:1.2:5", "--residual-out", "res.csv"], EXIT_OK,

@@ -499,9 +499,118 @@ def test_isolation_finds_every_planted_positive_root(shifts):
 # ------------------------------------- _ratpoly against Fraction references
 #
 # The references are the plain Fraction algorithms the integer versions
-# replaced: the full +-n/d rational-root enumeration, Fraction bisection
-# and Fraction Sturm sign counts.  The integer versions must agree with
-# them exactly, not approximately.
+# replaced: the full +-n/d rational-root enumeration, Fraction bisection,
+# Fraction Sturm sign counts, and the Fraction division, gcd, square-free
+# part, Sturm chain, deflation and isolation below.  The integer versions
+# must agree with them exactly, not approximately.
+
+def is_zero(p):
+    return all(c == 0 for c in p)
+
+
+def divmod_poly(num, den):
+    num, den = rp.trim(num), rp.trim(den)
+    if is_zero(den):
+        raise ZeroDivisionError("polynomial division by zero")
+    dd, lc = len(den) - 1, den[-1]
+    rem = list(num)
+    if len(rem) - 1 < dd:
+        return [Fraction(0)], rp.trim(rem)
+    quo = [Fraction(0)] * (len(rem) - dd)
+    while len(rem) - 1 >= dd and not is_zero(rem):
+        shift = len(rem) - 1 - dd
+        coef = Fraction(rem[-1]) / lc
+        quo[shift] = coef
+        for i, c in enumerate(den):
+            rem[shift + i] -= coef * c
+        rem.pop()  # leading entry is now exactly zero
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+    return rp.trim(quo), rp.trim(rem)
+
+
+def gcd_poly(a, b):
+    a, b = rp.trim(a), rp.trim(b)
+    while not is_zero(b):
+        _, r = divmod_poly(a, b)
+        a, b = b, r
+    if is_zero(a):
+        return [Fraction(0)]
+    lc = a[-1]
+    return [c / lc for c in a]  # monic normalization
+
+
+def square_free_part(p):
+    p = rp.trim(p)
+    if rp.degree(p) <= 1:
+        return p
+    g = gcd_poly(p, rp.derivative(p))
+    if rp.degree(g) == 0:
+        return p
+    q, r = divmod_poly(p, g)
+    assert is_zero(r)
+    return q
+
+
+def deflate(p, root):
+    """Divide out an exact root (x - root)."""
+    q, r = divmod_poly(p, [-root, Fraction(1)])
+    if not is_zero(r):
+        raise ValueError("not an exact root")
+    return q
+
+
+def sturm_chain(p):
+    """The Fraction Sturm sequence p, p', -rem(p_{i-1}, p_i), ..."""
+    chain = [rp.trim(p), rp.derivative(p)]
+    while not is_zero(chain[-1]) and rp.degree(chain[-1]) > 0:
+        _, r = divmod_poly(chain[-2], chain[-1])
+        if is_zero(r):
+            break
+        chain.append([-c for c in r])
+    return [c for c in chain if not is_zero(c)]
+
+
+def isolate_positive_roots(p):
+    """Fraction-algebra isolation: the same Sturm bisection of (0, B] on the
+    square-free part over the Fraction chain's integer forms."""
+    sf = square_free_part(rp.trim(p))
+    while sf[0] == 0 and len(sf) > 1:
+        sf = sf[1:]
+    exact = rp.exact_rational_roots(sf)
+    for r in exact:
+        sf = deflate(sf, r)
+    intervals = []
+    if rp.degree(sf) >= 1:
+        while True:
+            restart = False
+            intervals.clear()
+            chain = [rp.int_form(c) for c in sturm_chain(sf)]
+            ints = chain[0]
+            bound = rp.cauchy_bound(sf)
+            stack = [(Fraction(0), bound)]
+            while stack:
+                lo, hi = stack.pop()
+                n = rp.count_roots(chain, lo, hi)
+                if n == 0:
+                    continue
+                if n == 1 and (rp.sign_at(ints, lo.numerator, lo.denominator)
+                               * rp.sign_at(ints, hi.numerator, hi.denominator) < 0):
+                    intervals.append((lo, hi))
+                    continue
+                mid = (lo + hi) / 2
+                if rp.sign_at(ints, mid.numerator, mid.denominator) == 0:
+                    exact.append(mid)
+                    sf = deflate(sf, mid)
+                    restart = True
+                    break
+                stack.append((lo, mid))
+                stack.append((mid, hi))
+            if not restart:
+                break
+    intervals.sort()
+    return sorted(exact), intervals
+
 
 def _reference_divisors(n, limit=200):
     n = abs(n)
@@ -570,13 +679,7 @@ def _reference_refine(p, lo, hi, rel_bits=110):
 
 
 def _reference_count(p, a, b):
-    chain = [rp.trim(p), rp.derivative(p)]
-    while not rp.is_zero(chain[-1]) and rp.degree(chain[-1]) > 0:
-        _, r = rp.divmod_poly(chain[-2], chain[-1])
-        if rp.is_zero(r):
-            break
-        chain.append([-c for c in r])
-    chain = [c for c in chain if not rp.is_zero(c)]
+    chain = sturm_chain(p)
 
     def variations(x):
         signs = [v > 0 for v in (rp.eval_at(c, x) for c in chain) if v != 0]
@@ -664,3 +767,59 @@ def test_count_roots_equals_the_fraction_sturm_count(planted, ends):
     # planted roots themselves, where chain members vanish
     for r in roots:
         assert rp.count_roots(chain, r - 1, r) == _reference_count(poly, r - 1, r)
+
+
+# (x - 1)(2x - 3)(x + K) with K = (2**42 + 1) / 5: its constant term is above
+# the 1e12 guard, so the rational-root search is skipped, and its Cauchy
+# bound is 2**41, so the bisection's split point 1 is a root (a restart)
+SPLIT_ON_A_ROOT = [Fraction(2638827906663), Fraction(-4398046511102),
+                   Fraction(1759218604437), Fraction(2)]
+
+
+def test_isolation_restarts_when_a_split_point_is_a_root():
+    assert rp.cauchy_bound(SPLIT_ON_A_ROOT) == 2**41
+    assert rp.exact_rational_roots(SPLIT_ON_A_ROOT) == []
+    exact, [(lo, hi)] = rp.isolate_positive_roots(SPLIT_ON_A_ROOT)
+    assert exact == [1] and lo < Fraction(3, 2) < hi
+
+
+# 5/12 (x**2 + x + 1) x**2 (x - 2)**2 (3x - 1): zero and repeated roots
+ZERO_AND_REPEATED_ROOTS = [Fraction(0), Fraction(0), Fraction(-5, 3), Fraction(5),
+                           Fraction(-5, 12), Fraction(5, 2), Fraction(-25, 6), Fraction(5, 4)]
+
+
+@given(planted_polynomials())
+@example((SPLIT_ON_A_ROOT, [Fraction(1), Fraction(3, 2)]))
+@example((ZERO_AND_REPEATED_ROOTS, [Fraction(0), Fraction(0), Fraction(2), Fraction(2),
+                                    Fraction(1, 3)]))
+@example(([Fraction(c) for c in (6, -11, 6, -1)], [Fraction(1), Fraction(2), Fraction(3)]))
+@settings(max_examples=50, deadline=None)
+def test_isolation_equals_the_fraction_algebra(planted):
+    poly, _ = planted
+    want = isolate_positive_roots(poly)
+    assert rp.isolate_positive_roots(poly) == want
+    # solve_model's call: the primitive integer form, no Fractions
+    assert rp.isolate_positive_roots(rp.clear_denominators(poly)) == want
+
+
+@given(planted_polynomials())
+@example((ZERO_AND_REPEATED_ROOTS, [Fraction(0), Fraction(0), Fraction(2), Fraction(2),
+                                    Fraction(1, 3)]))
+@settings(max_examples=50, deadline=None)
+def test_integer_algebra_is_a_positive_multiple_of_the_fraction_algebra(planted):
+    poly, roots = planted
+    chain, want = rp.sturm_chain(poly), sturm_chain(poly)
+    assert len(chain) == len(want)
+    for got, ref in zip(chain, want):
+        ratio = got[-1] / ref[-1]
+        assert ratio > 0 and got == [ratio * c for c in ref]
+    for x in {r + d for r in roots for d in (-1, 0, Fraction(1, 3))}:
+        assert rp.count_roots(chain, x, x + 1) == _reference_count(poly, x, x + 1)
+    sf = rp.square_free_part(poly)
+    assert all(type(c) is int for c in sf) and math.gcd(*sf) == 1 and sf[-1] > 0
+    assert sf == rp.clear_denominators(square_free_part(poly))
+    for r in set(roots):
+        assert rp.clear_denominators(rp.deflate(sf, r)) == rp.clear_denominators(deflate(sf, r))
+        if rp.eval_at(sf, r + Fraction(1, 997)):
+            with pytest.raises(ValueError):
+                rp.deflate(sf, r + Fraction(1, 997))
