@@ -43,16 +43,21 @@ def int_form(p: Sequence) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in p]
 
 
-def sign_at(ints: Sequence[int], n: int, d: int) -> int:
-    """Sign (-1, 0, 1) of a polynomial at x = n/d, d > 0.
-
-    Homogeneous Horner: sum_i a_i n**i d**(deg-i) = d**deg p(n/d) has the
-    sign of p(n/d) and stays in integers for integer coefficients."""
+def _homogeneous(ints: Sequence[int], n: int, d: int) -> int:
+    """Homogeneous Horner: sum_i a_i n**i d**(deg-i) = d**deg p(n/d), in
+    integers for integer coefficients."""
     acc = 0
     dk = 1
     for c in reversed(ints):
         acc = acc * n + c * dk
         dk *= d
+    return acc
+
+
+def sign_at(ints: Sequence[int], n: int, d: int) -> int:
+    """Sign (-1, 0, 1) of a polynomial at x = n/d, d > 0: that of
+    d**deg p(n/d)."""
+    acc = _homogeneous(ints, n, d)
     return (acc > 0) - (acc < 0)
 
 
@@ -319,6 +324,34 @@ def isolate_positive_roots(p: Sequence[Fraction]):
     return sorted(exact), intervals
 
 
+def _estimate(ints: list[int], a: int, b: int, den: int, sign_lo: int,
+              bits: int) -> tuple[int, int]:
+    """A root in (a/den, b/den) as n / d, d = 2**g about 2**bits / root: float
+    Newton kept inside the bracket, then two integer Newton steps on that
+    grid.  OverflowError for coefficients beyond a float."""
+    fl = [float(c) for c in reversed(ints)]
+    xl, xh = a / den, b / den
+    x = (xl + xh) / 2
+    for _ in range(64):
+        px = dpx = 0.0
+        for c in fl:
+            px, dpx = px * x + c, dpx * x + px
+        xl, xh = (x, xh) if (px > 0) == (sign_lo > 0) else (xl, x)
+        nx = x - px / dpx if dpx else x
+        nx = nx if xl < nx < xh else (xl + xh) / 2
+        if nx == x:
+            break
+        x = nx
+    g = max(bits - math.frexp(x)[1], 0)
+    n, d = round(math.ldexp(x, g)), 1 << g
+    dints = derivative(ints)
+    for _ in range(2):
+        dp = _homogeneous(dints, n, d)
+        if dp:
+            n -= _homogeneous(ints, n, d) // dp  # x - p(x) / p'(x), times d
+    return n, d
+
+
 def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
                 rel_bits: int = 110) -> Fraction:
     """Bisect a sign-change bracket down to ~2**-rel_bits relative width.
@@ -328,6 +361,13 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
     numerators a < b over a common denominator den that doubles at each
     step, and every sign is exact, so the bisection visits the same
     midpoints as one done in Fractions.
+
+    It jumps to the bracket at the first depth J where the stop rule holds
+    on the path of a Newton estimate 40 bits finer, and returns its midpoint
+    if (i) a Sturm count finds one distinct root in (lo, hi], (ii) its ends
+    have signs sign_lo and -sign_lo, and (iii) the rule fails at J - 1: the
+    root is then strictly inside, so no midpoint before is a root and each
+    step keeps its half.  Otherwise the bisection runs.
     """
     ints = int_form(p)
     den = math.lcm(lo.denominator, hi.denominator)
@@ -339,6 +379,26 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
     if sign_at(ints, b, den) == 0:
         return hi
     scale = 1 << rel_bits
+    w = b - a  # the bracket width times den, the same at every depth
+    try:
+        n, d = _estimate(ints, a, b, den, sign_lo, rel_bits + 40)
+    except OverflowError:
+        n, d = 0, 1
+    num, cell = n * den - a * d, w * d  # estimate - lo, and hi - lo, times den * d
+
+    def stops(j: int) -> bool:  # the rule on the estimate's bracket at depth j
+        return w * scale <= (a << j) + ((num << j) // cell + 1) * w
+
+    if n > 0 and 0 < num < cell and not stops(0):
+        # the rule fails below this depth once scale > 2, and holds by 2 more
+        j = max((w * scale * d).bit_length() - (n * den).bit_length() - 1, 1)
+        while not stops(j):
+            j += 1
+        aj, dj = (a << j) + (num << j) // cell * w, den << j
+        if (not stops(j - 1) and sign_at(ints, aj, dj) == sign_lo
+                and sign_at(ints, aj + w, dj) == -sign_lo
+                and count_roots(sturm_chain(ints), lo, hi) == 1):
+            return Fraction(2 * aj + w, 2 * dj)
     while (b - a) * scale > b:  # (hi - lo) > hi * 2**-rel_bits, times den
         mid = a + b  # over 2 * den
         den *= 2

@@ -165,7 +165,10 @@ def _load_model(ref: str) -> VelocityModel:
     if len(model.weights_normalized) != len(model.ratios.p) + 1:
         raise UsageError(f"model file {ref} has {len(model.weights_normalized)} weights "
                          f"for {len(model.ratios.p) + 1} speeds")
-    residual = _moment_residual(model)
+    try:
+        residual = _moment_residual(model)
+    except OverflowError:  # a power of a speed overflows a float
+        residual = math.inf
     if not residual <= RESIDUAL_TOLERANCE:
         raise UsageError(f"model file {ref} has moment residual {residual:.3g}, "
                          f"above the tolerance {RESIDUAL_TOLERANCE:g}")

@@ -177,27 +177,22 @@ class DiscreteEquilibrium:
                 f"weights absorb a unit-width Gaussian), got {poly.spec.theta0}")
         self.model = model
         self.poly = poly
-        groups: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (kv, ku, kt), c in poly.terms.items():
-            groups.setdefault((ku, kt), {})[kv] = c
+        groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        for (kv, ku, kt), c in sorted(poly.terms.items()):
+            groups.setdefault((ku, kt), []).append((kv, float(c)))
         exponents = sorted(groups)
         self.even = [key for key in exponents if key[0] % 2 == 0]
         self.odd = [key for key in exponents if key[0] % 2 == 1]
-        v = model.velocities()
-        self.v_plus = v[1::2]
+        self.v_plus = model.velocities()[1::2]
 
-        def columns(keys: list[tuple[int, int]], speeds: np.ndarray) -> np.ndarray:
-            out = np.empty((len(speeds), len(keys)))
-            for col, key in enumerate(keys):
-                for i, s in enumerate(speeds):
-                    out[i, col] = math.fsum(float(c) * s**j
-                                            for j, c in sorted(groups[key].items()))
-            return out
+        def columns(keys: list[tuple[int, int]], speeds: list[float]) -> np.ndarray:
+            return np.array([[math.fsum(c * s**j for j, c in groups[key]) for key in keys]
+                             for s in speeds])
 
         # weights folded into the columns; E rows are [rest, +v_1, +v_2, ...]
         wbar = model.normalized_weights_full()
-        self.c_even = columns(self.even, np.append(0.0, self.v_plus)) * wbar[0::2, None]
-        self.c_odd = columns(self.odd, self.v_plus) * wbar[1::2, None]
+        self.c_even = columns(self.even, [0.0, *self.v_plus.tolist()]) * wbar[0::2, None]
+        self.c_odd = columns(self.odd, self.v_plus.tolist()) * wbar[1::2, None]
         self.max_u = max(a for a, _ in exponents)
         self.max_t = max(b for _, b in exponents)
 
@@ -286,19 +281,21 @@ def verify_moments(model: VelocityModel, poly: EquilibriumPolynomial,
     For every m up to moment_accuracy and every (rho, u, theta) sample,
     the discrete sum sum_i v_i**m f_i^eq must match the truncated
     Maxwell-Boltzmann moment to the given absolute tolerance, a finite
-    number >= 0.
+    number >= 0.  All samples are evaluated in one ``populations`` call
+    (its arithmetic is per node, so each column is the one-node result)
+    and the sums run over Python floats.
     """
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     spec = poly.spec
     m_max = moment_accuracy(model, spec)
     evaluator = DiscreteEquilibrium(model, poly)
-    v = model.velocities()
+    v = model.velocities().tolist()
+    nodes = np.array(samples, dtype=np.float64).reshape(-1, 3).T
     checks = []
-    for rho, u, theta in samples:
-        f = evaluator.populations(rho, u, theta)
+    for (rho, u, theta), f in zip(samples, evaluator.populations(*nodes).T.tolist()):
         for m in range(0, m_max + 1):
-            discrete = math.fsum(f[i] * v[i]**m for i in range(model.q))
+            discrete = math.fsum(fi * vi**m for fi, vi in zip(f, v))
             expected = truncated_mb_moment(m, spec, rho, u, theta)
             checks.append(MomentCheck(m, rho, u, theta, discrete, expected))
     return MomentReport(m_max=m_max, tolerance=tolerance, checks=tuple(checks))

@@ -162,13 +162,9 @@ class VelocityModel:
 
     def velocities(self) -> np.ndarray:
         """Velocity set in the fixed order [0, +v2, -v2, +v3, -v3, ...]."""
-        out = np.empty(self.q)
-        out[0] = 0.0
-        for i, r in enumerate(self.ratios.ratios):
-            speed = self.v2 * float(r)
-            out[1 + 2 * i] = speed
-            out[2 + 2 * i] = -speed
-        return out
+        p0 = self.ratios.p[0]
+        speeds = [self.v2 * (p / p0) for p in self.ratios.p]  # p / p0 rounds once
+        return np.array([0.0, *(x for s in speeds for x in (s, -s))])
 
     def hops(self) -> np.ndarray:
         """Signed whole-node displacements per step on the regular lattice
@@ -240,14 +236,14 @@ class VelocityModel:
 
 def _moment_residual(model: VelocityModel) -> float:
     """Max relative defect of the even moment rows n = 0..q+1."""
-    v = model.velocities()
-    w = model.normalized_weights_full()
+    v = model.velocities().tolist()
+    w = model.normalized_weights_full().tolist()
     defects = []
     for n in range(0, model.q + 2, 2):
         target = float(gaussian_moment_coefficient(n))
         got = math.fsum(wi * vi**n for wi, vi in zip(w, v))  # normalized-weight units
         defects.append(abs(got - target) / target)
-    return float(np.max(defects))  # NaN, not a smaller defect, for a NaN row
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 def _finish_model(model: VelocityModel, ghost_threshold: float) -> VelocityModel:
@@ -261,23 +257,21 @@ def _assemble_model(ratios: RatioTuple, s: Fraction, exact: bool,
     wpos = _solve_weights(ratios, s)
     w0 = 1 - 2 * sum(wpos)
     wnorm_exact = (w0, *wpos)
-    try:
-        v2 = math.sqrt(float(s))
-        wnorm = tuple(float(w) for w in wnorm_exact)
+    try:  # the float conversions, and the residual's powers of the speeds
+        model = VelocityModel(
+            ratios=ratios,
+            v2=math.sqrt(float(s)),
+            weights_normalized=tuple(float(w) for w in wnorm_exact),
+            residual=0.0,
+            ghost_flags=(False,) * (len(wpos) + 1),
+            all_positive=all(w >= 0 for w in wnorm_exact),
+            s_exact=s if exact else None,
+            weights_exact=wnorm_exact if exact else None,
+        )
+        return _finish_model(model, ghost_threshold)
     except OverflowError:
         raise ValueError(
             f"the speed or weights of the model {ratios.p} do not fit a float") from None
-    model = VelocityModel(
-        ratios=ratios,
-        v2=v2,
-        weights_normalized=wnorm,
-        residual=0.0,
-        ghost_flags=(False,) * (len(wpos) + 1),
-        all_positive=all(w >= 0 for w in wnorm_exact),
-        s_exact=s if exact else None,
-        weights_exact=wnorm_exact if exact else None,
-    )
-    return _finish_model(model, ghost_threshold)
 
 
 def solve_model(ratios: RatioTuple, *,
@@ -286,7 +280,8 @@ def solve_model(ratios: RatioTuple, *,
 
     Solves the model polynomial exactly: rational roots are kept as
     Fractions (the weights then come out exactly rational too), irrational
-    roots are bisected to ~1e-33 relative accuracy before float conversion.
+    roots are refined to the midpoint of a bisection's last bracket, ~1e-33
+    relative, before float conversion (``rp.refine_root``).
     Returns an empty list when no positive real root exists.
     """
     poly = build_polynomial(ratios)

@@ -148,7 +148,12 @@ def test_derive_usage_errors():
     ["derive", "--ratios", "1e400"],
     ["sweep", "--ratios", "?", "--grid", "1e400:1e400:1"],
     ["sweep", "--ratios", "2,?", "--grid", "3:1e200:1e199"],
-], ids=["derive-1e160", "derive-1e400", "sweep-1e400", "sweep-2-1e200"])
+    # the weights fit a float, but a power of a speed in the residual does not
+    ["derive", "--ratios", "1e55"],
+    ["derive", "--ratios", "1e100"],
+    ["sweep", "--ratios", "?", "--grid", "1e100:1e100:1"],
+], ids=["derive-1e160", "derive-1e400", "sweep-1e400", "sweep-2-1e200",
+        "derive-1e55", "derive-1e100", "sweep-1e100"])
 def test_a_model_that_overflows_a_float_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()

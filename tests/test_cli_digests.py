@@ -27,6 +27,11 @@ CASES = {
         ["derive", "--ratios", "2,3,4,5,6,7,8,9,11", "--out", "m.json"], EXIT_OK,
         {"stdout": EMPTY,
          "m.json": "30970162b1e418f5f86518ff997498397b004ed586c45c8b03178f71c229bade"}),
+    # the largest powers of the speeds in the residual still fit a float
+    "derive-1e40": (
+        ["derive", "--ratios", "1e40", "--out", "m.json"], EXIT_OK,
+        {"stdout": EMPTY,
+         "m.json": "13af21e7b722428c8662ecc589ba323547f10cbabaeae3e75ac850f83fc39197"}),
     "sweep-table-and-residual": (
         ["sweep", "--ratios", "?", "--grid", "2:4:1/2", "--residual-grid", "0.3:1.5:7",
          "--residual-out", "res.csv", "--out", "table.csv"], EXIT_OK,

@@ -16,15 +16,22 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermolb import (
     DiscreteEquilibrium,
     ExpansionSpec,
+    RatioTuple,
+    VelocityModel,
     expand,
     moment_accuracy,
+    resolve_catalog,
+    solve_model,
     truncated_mb_moment,
     verify_moments,
 )
+from thermolb.model_solver import _moment_residual, catalog_names
 from thermolb.moments import gaussian_moment_coefficient, mb_moment_exact
 
 # the benchmark combinations used across the suite:
@@ -383,3 +390,112 @@ def test_theta0_expansion_coefficients():
                 assert abs(got) < 1e-9
             else:
                 assert got == pytest.approx(want, rel=1e-6), (a, b, v)
+
+
+# ------------------------------- float side against numpy-scalar oracles
+#
+# The oracles are the numpy-scalar loops that the Python-float code
+# replaced: speeds from Fraction ratios, powers and products of numpy
+# float64 scalars, one populations call per verify sample.  A Python
+# float ** int calls the same C pow as a numpy float64 scalar ** int, and
+# every other operation is one IEEE rounding either way, so the results
+# must agree bit for bit.
+
+def _oracle_velocities(model):
+    out = np.empty(model.q)
+    out[0] = 0.0
+    for i, r in enumerate(model.ratios.ratios):
+        speed = model.v2 * float(r)
+        out[1 + 2 * i] = speed
+        out[2 + 2 * i] = -speed
+    return out
+
+
+def _oracle_moment_residual(model):
+    v = _oracle_velocities(model)
+    w = model.normalized_weights_full()
+    defects = []
+    for n in range(0, model.q + 2, 2):
+        target = float(gaussian_moment_coefficient(n))
+        got = math.fsum(wi * vi**n for wi, vi in zip(w, v))
+        defects.append(abs(got - target) / target)
+    return float(np.max(defects))
+
+
+def _oracle_columns(model, poly):
+    """DiscreteEquilibrium's (c_even, c_odd), built over numpy scalars."""
+    groups = {}
+    for (kv, ku, kt), c in poly.terms.items():
+        groups.setdefault((ku, kt), {})[kv] = c
+    exponents = sorted(groups)
+    even = [key for key in exponents if key[0] % 2 == 0]
+    odd = [key for key in exponents if key[0] % 2 == 1]
+    v_plus = _oracle_velocities(model)[1::2]
+
+    def columns(keys, speeds):
+        out = np.empty((len(speeds), len(keys)))
+        for col, key in enumerate(keys):
+            for i, s in enumerate(speeds):
+                out[i, col] = math.fsum(float(c) * s**j
+                                        for j, c in sorted(groups[key].items()))
+        return out
+
+    wbar = model.normalized_weights_full()
+    return (columns(even, np.append(0.0, v_plus)) * wbar[0::2, None],
+            columns(odd, v_plus) * wbar[1::2, None])
+
+
+def _oracle_discrete_moments(model, poly, samples, m_max):
+    """verify_moments' discrete sums, one populations call per sample."""
+    evaluator = DiscreteEquilibrium(model, poly)
+    v = _oracle_velocities(model)
+    out = []
+    for rho, u, theta in samples:
+        f = evaluator.populations(rho, u, theta)
+        for m in range(0, m_max + 1):
+            out.append(math.fsum(f[i] * v[i]**m for i in range(model.q)))
+    return out
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@st.composite
+def derived_models(draw):
+    """A catalog model, or one model of a random derive tuple."""
+    if draw(st.booleans()):
+        return resolve_catalog(draw(st.sampled_from(catalog_names())))
+    p = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=8)))
+    g = math.gcd(*p)
+    models = solve_model(RatioTuple(tuple(x // g for x in p)))
+    assume(models)
+    return draw(st.sampled_from(models))
+
+
+@given(derived_models(), st.sampled_from(["hermite:3", "taylor:3", "taylor:5"]),
+       st.lists(st.tuples(st.floats(0.1, 10), st.floats(-1, 1), st.floats(0.2, 3)),
+                min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_float_side_equals_the_numpy_scalar_oracles(model, label, samples):
+    kind, order = label.split(":")
+    poly = expand(ExpansionSpec(kind=kind, order=int(order)))
+    assert _hex(model.velocities()) == _hex(_oracle_velocities(model))
+    assert _moment_residual(model).hex() == _oracle_moment_residual(model).hex()
+    evaluator = DiscreteEquilibrium(model, poly)
+    for got, want in zip((evaluator.c_even, evaluator.c_odd), _oracle_columns(model, poly)):
+        assert got.shape == want.shape and _hex(got.ravel()) == _hex(want.ravel())
+    report = verify_moments(model, poly, samples)
+    assert _hex(c.discrete for c in report.checks) == _hex(
+        _oracle_discrete_moments(model, poly, samples, report.m_max))
+
+
+def test_moment_residual_is_nan_when_any_row_is_nan(q5):
+    # an infinite rest weight: row 0 is inf, every other row inf * 0.0 = NaN;
+    # a plain max over [inf, nan, ...] would return inf
+    model = VelocityModel(ratios=q5.ratios, v2=q5.v2,
+                          weights_normalized=(math.inf, *q5.weights_normalized[1:]),
+                          residual=0.0, ghost_flags=q5.ghost_flags, all_positive=True)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(_oracle_moment_residual(model))
+    assert math.isnan(_moment_residual(model))

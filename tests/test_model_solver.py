@@ -783,6 +783,49 @@ def test_isolation_restarts_when_a_split_point_is_a_root():
     assert exact == [1] and lo < Fraction(3, 2) < hi
 
 
+# (2x - 1)(720720 x**2 + 2x + 720721): its lead 1441440 has more than 200
+# divisors, so the rational-root search is skipped, and its Cauchy bound is
+# 2, so isolation returns (0, 2) and the bisection's second midpoint is the
+# root 1/2
+ROOT_ON_A_MIDPOINT = [Fraction(-720721), Fraction(1441440), Fraction(-720716),
+                      Fraction(1441440)]
+
+
+def test_a_root_on_an_early_midpoint_is_returned_exactly():
+    assert rp.isolate_positive_roots(ROOT_ON_A_MIDPOINT) == ([], [(0, 2)])
+    assert rp.refine_root(ROOT_ON_A_MIDPOINT, Fraction(0), Fraction(2)) == Fraction(1, 2)
+
+
+@given(st.one_of(planted_polynomials().map(lambda planted: planted[0]),
+                 ratio_tuples().map(build_polynomial)))
+@example(ROOT_ON_A_MIDPOINT)
+@example(SPLIT_ON_A_ROOT)  # its interval also holds the root 1: no sign change for it
+@settings(max_examples=60, deadline=None)
+def test_refine_root_equals_fraction_bisection_on_isolating_intervals(poly):
+    _, intervals = rp.isolate_positive_roots(poly)
+    for lo, hi in intervals:
+        assert rp.refine_root(poly, lo, hi) == _reference_refine(poly, lo, hi)
+
+
+def test_refining_a_catalog_interval_jumps_to_the_last_bracket(monkeypatch):
+    calls = []
+    sign_at = rp.sign_at
+    monkeypatch.setattr(rp, "sign_at", lambda *args: calls.append(args) or sign_at(*args))
+    refined = 0
+    for entry in CATALOG:
+        poly = build_polynomial(entry.ratios)
+        _, intervals = rp.isolate_positive_roots(poly)
+        chain = rp.sturm_chain(poly)
+        for lo, hi in intervals:
+            calls.clear()
+            rp.refine_root(poly, lo, hi)
+            # the two bracket ends, the last bracket's two ends and the Sturm
+            # count at lo and hi; the bisection loop makes one call per bit
+            assert len(calls) <= 4 + 2 * len(chain) <= 26, (entry.name, len(calls))
+            refined += 1
+    assert refined >= 8
+
+
 # 5/12 (x**2 + x + 1) x**2 (x - 2)**2 (3x - 1): zero and repeated roots
 ZERO_AND_REPEATED_ROOTS = [Fraction(0), Fraction(0), Fraction(-5, 3), Fraction(5),
                            Fraction(-5, 12), Fraction(5, 2), Fraction(-25, 6), Fraction(5, 4)]
