@@ -10,12 +10,16 @@ divided by their content (Collins, J. ACM 14, 1967; Knuth, TAOCP vol. 2,
 Fraction polynomial it stands for, and a positive one in Sturm chains, so
 roots, signs and sign counts are those of the Fraction algebra.  Signs at
 x = n/d come from a homogeneous Horner sum in integers.
+Isolation's Sturm count on the square-free part is the one certificate
+of a root's interval; ``refine_root`` narrows it without a second.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Sequence
+
+REL_BITS = 110  # refine_root's relative width, 2**-110 (~1e-33)
 
 
 def trim(p: Sequence) -> list:
@@ -276,12 +280,14 @@ def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
 def isolate_positive_roots(p: Sequence[Fraction]):
     """Locate every distinct real root s > 0 of p.
 
-    Returns (exact, intervals): ``exact`` is a sorted list of roots known
-    as exact Fractions, ``intervals`` a list of (lo, hi) Fraction pairs
-    each containing exactly one simple irrational root of the square-free
-    part, with p(lo) and p(hi) nonzero and of opposite sign.  It works on
-    primitive integer forms; they leave the (scale-invariant) Cauchy bound
-    and every sign count as in Fractions, so the intervals are the same.
+    Returns (exact, sf, intervals): the roots known as exact Fractions,
+    sorted; sf, the primitive square-free part of p with 0 and those roots
+    divided out; and sorted (lo, hi) Fraction pairs, each holding one root
+    of sf (rational if the rational-root search was skipped).  No end of an
+    interval is a root (0 is stripped, the Cauchy bound is strict and each
+    midpoint is tested) and sf is square-free, so sf changes sign across
+    each.  The integer forms leave the Cauchy bound and every sign count as
+    in Fractions, so the intervals are the same.
     """
     sf = square_free_part(trim(p))
     # strip roots at s = 0
@@ -298,7 +304,6 @@ def isolate_positive_roots(p: Sequence[Fraction]):
             restart = False
             intervals.clear()
             chain = sturm_chain(sf)
-            ints = chain[0]  # integer form of sf
             bound = cauchy_bound(sf)
             stack = [(Fraction(0), bound)]
             while stack:
@@ -306,12 +311,11 @@ def isolate_positive_roots(p: Sequence[Fraction]):
                 n = count_roots(chain, lo, hi)
                 if n == 0:
                     continue
-                if n == 1 and (sign_at(ints, lo.numerator, lo.denominator)
-                               * sign_at(ints, hi.numerator, hi.denominator) < 0):
+                if n == 1:
                     intervals.append((lo, hi))
                     continue
                 mid = (lo + hi) / 2
-                if sign_at(ints, mid.numerator, mid.denominator) == 0:
+                if sign_at(sf, mid.numerator, mid.denominator) == 0:
                     exact.append(mid)
                     sf = deflate(sf, mid)
                     restart = True
@@ -321,7 +325,7 @@ def isolate_positive_roots(p: Sequence[Fraction]):
             if not restart:
                 break
     intervals.sort()
-    return sorted(exact), intervals
+    return sorted(exact), sf, intervals
 
 
 def _estimate(ints: list[int], a: int, b: int, den: int, sign_lo: int,
@@ -352,36 +356,29 @@ def _estimate(ints: list[int], a: int, b: int, den: int, sign_lo: int,
     return n, d
 
 
-def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
-                rel_bits: int = 110) -> Fraction:
-    """Bisect a sign-change bracket down to ~2**-rel_bits relative width.
-
-    Exact arithmetic: the returned Fraction midpoint carries no rounding
-    error beyond the final interval width.  The bracket is kept as integer
-    numerators a < b over a common denominator den that doubles at each
-    step, and every sign is exact, so the bisection visits the same
-    midpoints as one done in Fractions.
+def refine_root(sf: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
+    """The root of sf in an interval from ``isolate_positive_roots``, whose
+    Sturm count is the certificate: it is not checked again.  The result is
+    the midpoint of the last bracket of a bisection that stops at relative
+    width 2**-REL_BITS, or the midpoint it meets the root on.  The bracket
+    is kept as integer numerators a < b over a common denominator den that
+    doubles at each step, and every sign is exact, so the bisection visits
+    the same midpoints as one done in Fractions.
 
     It jumps to the bracket at the first depth J where the stop rule holds
     on the path of a Newton estimate 40 bits finer, and returns its midpoint
-    if (i) a Sturm count finds one distinct root in (lo, hi], (ii) its ends
-    have signs sign_lo and -sign_lo, and (iii) the rule fails at J - 1: the
-    root is then strictly inside, so no midpoint before is a root and each
-    step keeps its half.  Otherwise the bisection runs.
+    if its ends have signs sign_lo and -sign_lo and the rule fails at J - 1:
+    the one root is then strictly inside, so no midpoint before is a root
+    and each step keeps its half.  Otherwise the bisection runs.
     """
-    ints = int_form(p)
     den = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)
-    sign_lo = sign_at(ints, a, den)
-    if sign_lo == 0:
-        return lo
-    if sign_at(ints, b, den) == 0:
-        return hi
-    scale = 1 << rel_bits
+    sign_lo = sign_at(sf, a, den)
+    scale = 1 << REL_BITS
     w = b - a  # the bracket width times den, the same at every depth
     try:
-        n, d = _estimate(ints, a, b, den, sign_lo, rel_bits + 40)
+        n, d = _estimate(sf, a, b, den, sign_lo, REL_BITS + 40)
     except OverflowError:
         n, d = 0, 1
     num, cell = n * den - a * d, w * d  # estimate - lo, and hi - lo, times den * d
@@ -395,14 +392,13 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
         while not stops(j):
             j += 1
         aj, dj = (a << j) + (num << j) // cell * w, den << j
-        if (not stops(j - 1) and sign_at(ints, aj, dj) == sign_lo
-                and sign_at(ints, aj + w, dj) == -sign_lo
-                and count_roots(sturm_chain(ints), lo, hi) == 1):
+        if (not stops(j - 1) and sign_at(sf, aj, dj) == sign_lo
+                and sign_at(sf, aj + w, dj) == -sign_lo):
             return Fraction(2 * aj + w, 2 * dj)
-    while (b - a) * scale > b:  # (hi - lo) > hi * 2**-rel_bits, times den
+    while (b - a) * scale > b:  # (hi - lo) > hi * 2**-REL_BITS, times den
         mid = a + b  # over 2 * den
         den *= 2
-        sign_mid = sign_at(ints, mid, den)
+        sign_mid = sign_at(sf, mid, den)
         if sign_mid == 0:
             return Fraction(mid, den)
         if sign_mid == sign_lo:

@@ -794,6 +794,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, RuntimeError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's message names the allocation it refused
+        print("failure: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":  # pragma: no cover

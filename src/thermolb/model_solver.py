@@ -279,17 +279,15 @@ def solve_model(ratios: RatioTuple, *,
     """All models for a given ratio tuple, sorted by ascending base speed.
 
     Solves the model polynomial exactly: rational roots are kept as
-    Fractions (the weights then come out exactly rational too), irrational
-    roots are refined to the midpoint of a bisection's last bracket, ~1e-33
-    relative, before float conversion (``rp.refine_root``).
+    Fractions (the weights then come out exactly rational too); every other
+    root is refined on the square-free part its interval isolates, to the
+    midpoint of a bisection's last bracket, ~1e-33 relative, before float
+    conversion (``rp.refine_root``).
     Returns an empty list when no positive real root exists.
     """
-    poly = build_polynomial(ratios)
-    exact_roots, intervals = rp.isolate_positive_roots(poly)
-    found: list[tuple[Fraction, bool]] = [(r, True) for r in exact_roots]
-    for lo, hi in intervals:
-        found.append((rp.refine_root(poly, lo, hi), False))
-    found.sort()
+    exact_roots, sf, intervals = rp.isolate_positive_roots(build_polynomial(ratios))
+    found = sorted([(r, True) for r in exact_roots]
+                   + [(rp.refine_root(sf, lo, hi), False) for lo, hi in intervals])
     return [_assemble_model(ratios, s, exact, ghost_threshold)
             for s, exact in found]
 

@@ -89,6 +89,33 @@ def test_an_output_path_that_cannot_be_written_is_a_failure(tmp_path, capsys):
     assert out == "" and err.startswith("failure: ")
 
 
+# numpy's message for `simulate --nodes 100000000000`; a bare MemoryError
+# has none.  The allocation is patched to raise: nothing is allocated.
+NUMPY_REFUSAL = ("Unable to allocate 745. GiB for an array with shape "
+                 "(100000000000,) and data type float64")
+
+
+@pytest.mark.parametrize("target, argv, exc, line", [
+    ("thermolb.cli.run", ["simulate", "--model", "q7", "--kind", "taylor", "--order", "3"],
+     MemoryError(NUMPY_REFUSAL), f"failure: out of memory: {NUMPY_REFUSAL}\n"),
+    ("numpy.linspace", ["sweep", "--ratios", "?", "--grid", "3:3:1",
+                        "--residual-grid", "0:1:100000000000", "--residual-out", "res.csv",
+                        "--out", "sw.csv"],
+     MemoryError(), "failure: out of memory\n"),
+], ids=["simulate", "sweep-residual-grid"])
+def test_running_out_of_memory_is_a_one_line_failure(tmp_path, monkeypatch, capsys,
+                                                     target, argv, exc, line):
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(target, refuse)
+    capsys.readouterr()
+    assert main(argv) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and err == line
+
+
 # ----------------------------------------------------------------- derive
 
 

@@ -29,6 +29,7 @@ from thermolb import (
     solve_model,
 )
 from thermolb import _ratpoly as rp
+from thermolb import model_solver
 from thermolb.model_solver import CATALOG, _solve_weights, catalog_names
 from thermolb.moments import gaussian_moment_coefficient
 
@@ -340,21 +341,21 @@ def test_sturm_root_counting():
 
 def test_isolate_positive_roots_exact_and_refined():
     # 2s - 3: exact rational root
-    exact, intervals = rp.isolate_positive_roots([Fraction(-3), Fraction(2)])
+    exact, sf, intervals = rp.isolate_positive_roots([Fraction(-3), Fraction(2)])
     assert exact == [Fraction(3, 2)]
-    assert intervals == []
+    assert sf == [1] and intervals == []
     # 12s^2 - 20s + 5: two irrational roots (5 +- sqrt(10)) / 6
     from mpmath import mp, mpf, sqrt as msqrt
 
     poly = [Fraction(5), Fraction(-20), Fraction(12)]
-    exact, intervals = rp.isolate_positive_roots(poly)
-    assert exact == []
+    exact, sf, intervals = rp.isolate_positive_roots(poly)
+    assert exact == [] and sf == [5, -20, 12]
     assert len(intervals) == 2
     old_dps, mp.dps = mp.dps, 60
     try:
         true_roots = sorted([(5 - msqrt(10)) / 6, (5 + msqrt(10)) / 6])
         for (lo, hi), want in zip(intervals, true_roots):
-            root = rp.refine_root(poly, lo, hi)
+            root = rp.refine_root(sf, lo, hi)
             err = abs(mpf(root.numerator) / mpf(root.denominator) - want)
             assert err < mpf(2) ** -100
     finally:
@@ -486,11 +487,11 @@ def test_isolation_finds_every_planted_positive_root(shifts):
         poly = [Fraction(0)] + poly
         for j in range(len(poly) - 1):
             poly[j] -= a * poly[j + 1]
-    exact, intervals = rp.isolate_positive_roots(poly)
+    exact, sf, intervals = rp.isolate_positive_roots(poly)
     want = sorted({a for a in shifts if a > 0})
     got = sorted(exact)
     for lo, hi in intervals:
-        got.append(rp.refine_root(poly, lo, hi))
+        got.append(rp.refine_root(sf, lo, hi))
     assert len(got) == len(want)
     for g, w in zip(sorted(got), want):
         assert abs(g - w) < Fraction(1, 10**20)
@@ -573,7 +574,8 @@ def sturm_chain(p):
 
 def isolate_positive_roots(p):
     """Fraction-algebra isolation: the same Sturm bisection of (0, B] on the
-    square-free part over the Fraction chain's integer forms."""
+    square-free part over the Fraction chain's integer forms, with each
+    interval's end signs tested as well as its count."""
     sf = square_free_part(rp.trim(p))
     while sf[0] == 0 and len(sf) > 1:
         sf = sf[1:]
@@ -609,7 +611,7 @@ def isolate_positive_roots(p):
             if not restart:
                 break
     intervals.sort()
-    return sorted(exact), intervals
+    return sorted(exact), sf, intervals
 
 
 def _reference_divisors(n, limit=200):
@@ -659,13 +661,13 @@ def _reference_rational_roots(p):
     return sorted(roots)
 
 
-def _reference_refine(p, lo, hi, rel_bits=110):
+def _reference_refine(p, lo, hi):
     flo = rp.eval_at(p, lo)
     if flo == 0:
         return lo
     if rp.eval_at(p, hi) == 0:
         return hi
-    tol = Fraction(1, 2**rel_bits)
+    tol = Fraction(1, 2**110)
     while (hi - lo) > hi * tol:
         mid = (lo + hi) / 2
         fm = rp.eval_at(p, mid)
@@ -740,20 +742,15 @@ def test_exact_rational_roots_equal_the_positive_part_of_full_enumeration(plante
     assert rp.exact_rational_roots(poly) == want
 
 
-@given(planted_polynomials(), st.lists(st.fractions(Fraction(0), Fraction(50), max_denominator=1000),
-                                       min_size=2, max_size=2, unique=True),
-       st.sampled_from([8, 40, 110]))
+@given(planted_polynomials())
 @settings(max_examples=60, deadline=None)
-def test_refine_root_equals_fraction_bisection_bit_for_bit(planted, ends, rel_bits):
+def test_refine_root_equals_fraction_bisection_bit_for_bit(planted):
+    # the integer square-free part against the Fraction algebra's
     poly, _ = planted
-    lo, hi = sorted(ends)
-    assert rp.refine_root(poly, lo, hi, rel_bits) == _reference_refine(poly, lo, hi, rel_bits)
-    sf = rp.square_free_part(poly)
-    while sf[0] == 0:
-        sf = sf[1:]
-    _, intervals = rp.isolate_positive_roots(sf)
+    _, sf, intervals = rp.isolate_positive_roots(poly)
+    _, fraction_sf, _ = isolate_positive_roots(poly)
     for lo, hi in intervals:
-        assert rp.refine_root(poly, lo, hi) == _reference_refine(poly, lo, hi)
+        assert rp.refine_root(sf, lo, hi) == _reference_refine(fraction_sf, lo, hi)
 
 
 @given(planted_polynomials(), st.lists(st.fractions(Fraction(-60), Fraction(60), max_denominator=64),
@@ -779,8 +776,9 @@ SPLIT_ON_A_ROOT = [Fraction(2638827906663), Fraction(-4398046511102),
 def test_isolation_restarts_when_a_split_point_is_a_root():
     assert rp.cauchy_bound(SPLIT_ON_A_ROOT) == 2**41
     assert rp.exact_rational_roots(SPLIT_ON_A_ROOT) == []
-    exact, [(lo, hi)] = rp.isolate_positive_roots(SPLIT_ON_A_ROOT)
+    exact, sf, [(lo, hi)] = rp.isolate_positive_roots(SPLIT_ON_A_ROOT)
     assert exact == [1] and lo < Fraction(3, 2) < hi
+    assert sf == rp.clear_denominators(rp.deflate(SPLIT_ON_A_ROOT, Fraction(1)))
 
 
 # (2x - 1)(720720 x**2 + 2x + 720721): its lead 1441440 has more than 200
@@ -792,36 +790,60 @@ ROOT_ON_A_MIDPOINT = [Fraction(-720721), Fraction(1441440), Fraction(-720716),
 
 
 def test_a_root_on_an_early_midpoint_is_returned_exactly():
-    assert rp.isolate_positive_roots(ROOT_ON_A_MIDPOINT) == ([], [(0, 2)])
-    assert rp.refine_root(ROOT_ON_A_MIDPOINT, Fraction(0), Fraction(2)) == Fraction(1, 2)
+    sf = rp.clear_denominators(ROOT_ON_A_MIDPOINT)
+    assert rp.isolate_positive_roots(ROOT_ON_A_MIDPOINT) == ([], sf, [(0, 2)])
+    assert rp.refine_root(sf, Fraction(0), Fraction(2)) == Fraction(1, 2)
 
 
 @given(st.one_of(planted_polynomials().map(lambda planted: planted[0]),
                  ratio_tuples().map(build_polynomial)))
 @example(ROOT_ON_A_MIDPOINT)
-@example(SPLIT_ON_A_ROOT)  # its interval also holds the root 1: no sign change for it
+@example(SPLIT_ON_A_ROOT)
 @settings(max_examples=60, deadline=None)
 def test_refine_root_equals_fraction_bisection_on_isolating_intervals(poly):
-    _, intervals = rp.isolate_positive_roots(poly)
+    _, sf, intervals = rp.isolate_positive_roots(poly)
     for lo, hi in intervals:
-        assert rp.refine_root(poly, lo, hi) == _reference_refine(poly, lo, hi)
+        assert rp.refine_root(sf, lo, hi) == _reference_refine(sf, lo, hi)
+
+
+@given(st.one_of(planted_polynomials().map(lambda planted: planted[0]),
+                 ratio_tuples().map(build_polynomial)))
+@example(SPLIT_ON_A_ROOT)  # its interval also holds the root 1, divided out of sf
+@example(ROOT_ON_A_MIDPOINT)
+@settings(max_examples=60, deadline=None)
+def test_each_refined_root_is_a_sign_change_of_the_square_free_part(poly):
+    _, sf, intervals = rp.isolate_positive_roots(poly)
+    for lo, hi in intervals:
+        r = rp.refine_root(sf, lo, hi)
+        below, above = r - hi / 2**110, r + hi / 2**110
+        assert (rp.sign_at(sf, below.numerator, below.denominator)
+                * rp.sign_at(sf, above.numerator, above.denominator)) < 0, (lo, hi, r)
+
+
+def test_solve_model_refines_the_polynomial_its_interval_isolates(monkeypatch):
+    monkeypatch.setattr(model_solver, "build_polynomial", lambda ratios: SPLIT_ON_A_ROOT)
+    monkeypatch.setattr(model_solver, "_assemble_model", lambda ratios, s, exact, ghost: s)
+    one, root = solve_model(RatioTuple((1,)))
+    assert one == 1 and abs(root - Fraction(3, 2)) < Fraction(1, 2**100)
 
 
 def test_refining_a_catalog_interval_jumps_to_the_last_bracket(monkeypatch):
-    calls = []
-    sign_at = rp.sign_at
+    calls, chains = [], []
+    sign_at, sturm_chain = rp.sign_at, rp.sturm_chain
     monkeypatch.setattr(rp, "sign_at", lambda *args: calls.append(args) or sign_at(*args))
+    monkeypatch.setattr(rp, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
     refined = 0
     for entry in CATALOG:
-        poly = build_polynomial(entry.ratios)
-        _, intervals = rp.isolate_positive_roots(poly)
-        chain = rp.sturm_chain(poly)
+        _, sf, intervals = rp.isolate_positive_roots(build_polynomial(entry.ratios))
+        assert len(chains) <= 1  # isolation's one (none for a constant sf; no restarts here)
+        chains.clear()
         for lo, hi in intervals:
             calls.clear()
-            rp.refine_root(poly, lo, hi)
-            # the two bracket ends, the last bracket's two ends and the Sturm
-            # count at lo and hi; the bisection loop makes one call per bit
-            assert len(calls) <= 4 + 2 * len(chain) <= 26, (entry.name, len(calls))
+            rp.refine_root(sf, lo, hi)
+            # the sign at lo and the last bracket's two ends; the bisection
+            # loop makes one call per bit, and no Sturm chain is built
+            assert len(calls) == 3, (entry.name, len(calls))
+            assert chains == [], entry.name
             refined += 1
     assert refined >= 8
 
@@ -839,7 +861,8 @@ ZERO_AND_REPEATED_ROOTS = [Fraction(0), Fraction(0), Fraction(-5, 3), Fraction(5
 @settings(max_examples=50, deadline=None)
 def test_isolation_equals_the_fraction_algebra(planted):
     poly, _ = planted
-    want = isolate_positive_roots(poly)
+    exact, sf, intervals = isolate_positive_roots(poly)
+    want = (exact, rp.clear_denominators(sf), intervals)
     assert rp.isolate_positive_roots(poly) == want
     # solve_model's call: the primitive integer form, no Fractions
     assert rp.isolate_positive_roots(rp.clear_denominators(poly)) == want
