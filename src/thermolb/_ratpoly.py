@@ -34,6 +34,7 @@ def degree(p: Sequence) -> int:
 
 
 def eval_at(p: Sequence, x: Fraction) -> Fraction:
+    """p(x) in exact arithmetic; the solver uses ``sign_at`` instead."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
@@ -182,112 +183,37 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _trial_divisors():
-    """2, 3, then every 6k - 1 and 6k + 1: a superset of the primes."""
-    yield 2
-    yield 3
-    k = 6
-    while True:
-        yield k - 1
-        yield k + 1
-        k += 6
-
-
-def _small_divisors(n: int, limit: int = 200) -> list[int] | None:
-    """All positive divisors of |n|, sorted, or None if |n| is 0, above
-    1e12, or has more than `limit` divisors.
-
-    |n| is factored by trial division, each prime divided out as it is
-    found, until p * p exceeds the cofactor left; the divisors are the
-    products of the prime powers."""
-    n = abs(n)
-    if n == 0 or n > 10**12:
-        return None
-    factors = []  # (prime, exponent)
-    for p in _trial_divisors():
-        if p * p > n:
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    if n > 1:
-        factors.append((n, 1))
-    if math.prod(e + 1 for _, e in factors) > limit:
-        return None
-    divs = [1]
-    for p, e in factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def exact_rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """Exact positive rational roots of p, sorted, found cheaply.
-
-    Degree <= 2 is solved directly.  Above that the rational root theorem
-    runs on the primitive integer form P (zero roots stripped): a root n/d
-    in lowest terms has n | P(0) and d | lead(P).  Only lowest-terms
-    candidates below the Cauchy bound of P are considered, and only those
-    with (d - n) | P(1) and (d + n) | P(-1) (P = (d x - n) Q with integer Q)
-    are tested with ``eval_at``.  The enumeration is skipped when either
-    end coefficient exceeds 1e12 or has more than 200 divisors, so rational
-    roots of high-degree polynomials with huge coefficients may be missed;
-    callers treat this as an opportunistic exactness upgrade, not a
-    completeness guarantee."""
+    """Exact positive roots of p, sorted, for degree <= 2: the linear root
+    and the rational roots of the quadratic formula.  Above degree 2 it
+    returns none; isolation and ``refine_root`` locate every such root."""
     p = trim(p)
     d = degree(p)
-    if d <= 0:
+    if d <= 0 or d > 2:
         return []
     if d == 1:
         root = Fraction(-p[0]) / p[1]
         return [root] if root > 0 else []
-    if d == 2:
-        c, b, a = p[0], p[1], p[2]
-        disc = b * b - 4 * a * c
-        r = _fraction_sqrt(disc)
-        if r is None:
-            return []
-        return sorted(x for x in {(-b + r) / (2 * a), (-b - r) / (2 * a)} if x > 0)
-    ints = clear_denominators(p)
-    while ints[0] == 0:
-        ints = ints[1:]  # zero roots handled by caller; ints[-1] != 0
-    nums = _small_divisors(ints[0])
-    dens = _small_divisors(ints[-1])
-    if nums is None or dens is None:
+    c, b, a = p[0], p[1], p[2]
+    r = _fraction_sqrt(b * b - 4 * a * c)
+    if r is None:
         return []
-    lead = ints[-1]  # positive
-    bound = lead + max((abs(c) for c in ints[:-1]), default=0)  # Cauchy bound * lead
-    at_one = sum(ints)
-    at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    roots = []
-    for n in nums:
-        for dd in dens:
-            # P = (dd x - n) Q with integer Q: dd - n divides P(1) (and 0
-            # divides only 0), dd + n divides P(-1); this rejects most pairs,
-            # so it runs before the gcd and bound tests
-            if (at_one % (dd - n) if dd != n else at_one) or at_minus_one % (dd + n):
-                continue
-            if math.gcd(n, dd) != 1 or n * lead >= dd * bound:
-                continue
-            cand = Fraction(n, dd)
-            if eval_at(p, cand) == 0:
-                roots.append(cand)
-    return sorted(roots)
+    return sorted(x for x in {(-b + r) / (2 * a), (-b - r) / (2 * a)} if x > 0)
 
 
 def isolate_positive_roots(p: Sequence[Fraction]):
     """Locate every distinct real root s > 0 of p.
 
     Returns (exact, sf, intervals): the roots known as exact Fractions,
-    sorted; sf, the primitive square-free part of p with 0 and those roots
-    divided out; and sorted (lo, hi) Fraction pairs, each holding one root
-    of sf (rational if the rational-root search was skipped).  No end of an
-    interval is a root (0 is stripped, the Cauchy bound is strict and each
-    midpoint is tested) and sf is square-free, so sf changes sign across
-    each.  The integer forms leave the Cauchy bound and every sign count as
-    in Fractions, so the intervals are the same.
+    sorted, which are the roots of a square-free part of degree <= 2 (0
+    stripped) and the bisection midpoints that land on a root; sf, the
+    primitive square-free part of p with 0 and those roots divided out; and
+    sorted (lo, hi) Fraction pairs, each holding one root of sf, rational or
+    not, for ``refine_root``.  No end of an interval is a root (0 is
+    stripped, the Cauchy bound is strict and each midpoint is tested) and sf
+    is square-free, so sf changes sign across each.  The integer forms leave
+    the Cauchy bound and every sign count as in Fractions, so the intervals
+    are the same.
     """
     sf = square_free_part(trim(p))
     # strip roots at s = 0

@@ -116,14 +116,14 @@ def _parse_ratios(text: str | None) -> list[Fraction]:
         raise UsageError(f"bad ratio list {text!r}: {exc}") from exc
 
 
-def _parse_expansion(kind: str, order: int, theta0: str = "1") -> ExpansionSpec:
+def _parse_expansion(kind: str, order: int) -> ExpansionSpec:
     aliases = {"taylor": "taylor", "te": "taylor", "hermite": "hermite", "he": "hermite"}
     k = aliases.get(kind.lower())
     if k is None:
         raise UsageError(f"unknown expansion kind {kind!r} (use taylor or hermite)")
     try:
-        return ExpansionSpec(k, order, theta0)
-    except (ValueError, ZeroDivisionError) as exc:
+        return ExpansionSpec(k, order)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -270,7 +270,7 @@ def cmd_sweep(args) -> int:
             else:
                 row.extend([float("nan")] * (k + 2))
         rows.append(row)
-    _write_text(args.out, _csv_lines(header, rows))
+    outputs = [(args.out, _csv_lines(header, rows))]
     if args.residual_grid:
         res_rows = []
         for g, ratios, _ in results:
@@ -281,15 +281,21 @@ def cmd_sweep(args) -> int:
             for v2 in np.linspace(lo, hi, n):
                 res_rows.append([float(g), float(v2),
                                  eval_float(poly, v2 * v2) / lead])
-        _write_text(args.residual_out,
-                    _csv_lines(["param", "v2", "residual"], res_rows))
+        outputs.append((args.residual_out,
+                        _csv_lines(["param", "v2", "residual"], res_rows)))
+    for path, text in outputs:  # written once both are built, so a failure leaves none
+        _write_text(path, text)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- expand
 
 def cmd_expand(args) -> int:
-    spec = _parse_expansion(args.kind, args.order, args.theta0)
+    spec = _parse_expansion(args.kind, args.order)
+    try:
+        spec = ExpansionSpec(spec.kind, spec.order, args.theta0)
+    except ValueError as exc:
+        raise UsageError(f"bad --theta0 {args.theta0!r}: {exc}") from exc
     poly = expand(spec)
     rows = [list(r) + [spec.kind, spec.order] for r in poly.table_rows()]
     _write_text(args.out, _csv_lines(

@@ -61,7 +61,7 @@ class ExpansionSpec:
             raise ValueError(f"expansion order must be an integer >= 1, got {self.order!r}")
         try:
             theta0 = Fraction(self.theta0)
-        except (OverflowError, ValueError) as exc:  # inf, nan, or not a number
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:  # inf, nan, x/0, junk
             raise ValueError(f"base temperature must be a finite rational, "
                              f"got {self.theta0!r}") from exc
         if theta0 <= 0:

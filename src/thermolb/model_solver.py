@@ -143,8 +143,8 @@ class VelocityModel:
     weights_normalized holds (w_0, w_1, w_2, ...) for the nonnegative
     velocities (rest speed first), already divided by sqrt(pi) so they sum
     to 1; the mirrored negative velocities reuse the same weights.
-    weights_exact carries the same numbers as Fractions whenever the
-    defining polynomial root happens to be rational.
+    weights_exact carries the same numbers as Fractions whenever
+    ``solve_model`` found the root s_exact exactly.
     """
 
     ratios: RatioTuple
@@ -278,11 +278,13 @@ def solve_model(ratios: RatioTuple, *,
                 ghost_threshold: float = DEFAULT_GHOST_THRESHOLD) -> list[VelocityModel]:
     """All models for a given ratio tuple, sorted by ascending base speed.
 
-    Solves the model polynomial exactly: rational roots are kept as
-    Fractions (the weights then come out exactly rational too); every other
-    root is refined on the square-free part its interval isolates, to the
-    midpoint of a bisection's last bracket, ~1e-33 relative, before float
-    conversion (``rp.refine_root``).
+    Solves the model polynomial exactly: a root is kept as a Fraction only
+    when it comes from a square-free part of degree <= 2 or an isolation
+    midpoint lands on it, and then the model carries ``s_exact`` and
+    ``weights_exact``.  Every other root, rational or not, is refined on the
+    square-free part its interval isolates, to the midpoint of a bisection's
+    last bracket, ~1e-33 relative, before float conversion
+    (``rp.refine_root``), and its model carries neither.
     Returns an empty list when no positive real root exists.
     """
     exact_roots, sf, intervals = rp.isolate_positive_roots(build_polynomial(ratios))

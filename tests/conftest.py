@@ -4,10 +4,16 @@ Catalog models are derived once per session; derivation is cheap but the
 simulator tests reuse the same objects many times.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from thermolb import resolve_catalog
+from thermolb.cli import main
+
+# the first words of the one stderr line of a run that exits non-zero
+FAILURE_PREFIXES = ("error:", "numerical failure:", "failure:", "expectation violated")
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +52,31 @@ def _no_stray_numpy_warnings():
     # surfacing as a warning in tests is a bug
     with np.errstate(all="warn"):
         yield
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """run_cli(argv) runs ``main(argv)`` in process, checks the CLI contract
+    on that run and returns (exit code, stdout, stderr).
+
+    The contract: the exit code is 0, 1, 2 or 3; no warning is raised and
+    stderr holds no ``Traceback`` or ``Warning``; and a non-zero exit writes
+    exactly one stderr line, which starts with one of FAILURE_PREFIXES."""
+    def run(argv):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), code
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert err.startswith(FAILURE_PREFIXES), err
+        return code, out, err
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -103,17 +103,37 @@ NUMPY_REFUSAL = ("Unable to allocate 745. GiB for an array with shape "
                         "--out", "sw.csv"],
      MemoryError(), "failure: out of memory\n"),
 ], ids=["simulate", "sweep-residual-grid"])
-def test_running_out_of_memory_is_a_one_line_failure(tmp_path, monkeypatch, capsys,
+def test_running_out_of_memory_is_a_one_line_failure(tmp_path, monkeypatch, run_cli,
                                                      target, argv, exc, line):
     def refuse(*args, **kwargs):
         raise exc
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(target, refuse)
-    capsys.readouterr()
-    assert main(argv) == EXIT_NUMERICAL
-    out, err = capsys.readouterr()
-    assert out == "" and err == line
+    assert run_cli(argv) == (EXIT_NUMERICAL, "", line)
+    # sweep builds its table before the residual grid fails, and writes neither
+    assert list(tmp_path.iterdir()) == []
+
+
+# a q5 model file whose speed squared overflows a float in its moment residual
+HUGE_SPEED_MODEL = {"p": [1, 3], "v2": 1e300, "weights_normalized": [0.5, 0.2, 0.05],
+                    "residual": 0.0, "ghosts": [False] * 3, "all_positive": True}
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["expand", "--kind", "taylor", "--order", "2", "--theta0", "1/0"], EXIT_USAGE,
+     "error: bad --theta0 '1/0': base temperature must be a finite rational, got '1/0'\n"),
+    (["riemann", "--left", "3,1e300,1", "--right", "1,0,1"], EXIT_NUMERICAL,
+     "failure: failed to bracket the star pressure\n"),
+    (["verify", "--model", "huge.json", "--kind", "hermite", "--order", "3"], EXIT_USAGE,
+     "error: model file huge.json has moment residual inf, above the tolerance 1e-08\n"),
+], ids=["expand-theta0-over-zero", "riemann-star-pressure-unbracketed",
+        "model-file-speed-overflows"])
+def test_a_failing_run_is_one_line_on_stderr(tmp_path, monkeypatch, run_cli, argv, code,
+                                             line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(json.dumps(HUGE_SPEED_MODEL))
+    assert run_cli(argv) == (code, "", line)
 
 
 # ----------------------------------------------------------------- derive
@@ -823,10 +843,11 @@ def test_riemann_checks_its_inputs_before_solving(tmp_path, capsys, flags):
     assert not out.exists() and not prof.exists()
 
 
-def test_riemann_vacuum_is_a_numerical_failure(capsys):
-    assert main(["riemann", "--left", "1,-3,1", "--right", "1,3,1"]) == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
-    assert main(["riemann", "--left", "1,0", "--right", "1,0,1"]) == EXIT_USAGE
+def test_riemann_vacuum_is_a_numerical_failure(run_cli):
+    assert run_cli(["riemann", "--left", "1,-3,1", "--right", "1,3,1"]) == (
+        EXIT_NUMERICAL, "",
+        "numerical failure: velocity jump 6.0 exceeds the pressure positivity limit\n")
+    assert run_cli(["riemann", "--left", "1,0", "--right", "1,0,1"])[0] == EXIT_USAGE
 
 
 # ---------------------------------------------------------------- compare

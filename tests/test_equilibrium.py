@@ -235,10 +235,12 @@ def test_base_temperature_must_be_positive(theta0):
         ExpansionSpec("taylor", 2, theta0)
 
 
-@pytest.mark.parametrize("theta0", [math.inf, -math.inf, math.nan, "inf", "x"], ids=repr)
+@pytest.mark.parametrize("theta0", [math.inf, -math.inf, math.nan, "inf", "x", "1/0"],
+                         ids=repr)
 def test_base_temperature_must_be_finite(theta0):
-    # Fraction(inf) raises OverflowError and Fraction(nan) a ValueError that
-    # names no field; both must be a ValueError about the base temperature
+    # Fraction(inf) raises OverflowError, Fraction(nan) a ValueError that
+    # names no field and Fraction("1/0") a ZeroDivisionError; each must be a
+    # ValueError about the base temperature
     with pytest.raises(ValueError, match="base temperature must be a finite rational"):
         ExpansionSpec("taylor", 2, theta0)
 

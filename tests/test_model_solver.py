@@ -477,33 +477,13 @@ def test_exact_rational_roots_quadratic():
     assert sorted(roots) == [Fraction(1, 2), Fraction(3)]
 
 
-@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4))
-@settings(max_examples=60)
-def test_isolation_finds_every_planted_positive_root(shifts):
-    # plant integer roots, some repeated; isolation must report the
-    # distinct positive ones exactly
-    poly = [Fraction(1)]
-    for a in shifts:
-        poly = [Fraction(0)] + poly
-        for j in range(len(poly) - 1):
-            poly[j] -= a * poly[j + 1]
-    exact, sf, intervals = rp.isolate_positive_roots(poly)
-    want = sorted({a for a in shifts if a > 0})
-    got = sorted(exact)
-    for lo, hi in intervals:
-        got.append(rp.refine_root(sf, lo, hi))
-    assert len(got) == len(want)
-    for g, w in zip(sorted(got), want):
-        assert abs(g - w) < Fraction(1, 10**20)
-
-
 # ------------------------------------- _ratpoly against Fraction references
 #
 # The references are the plain Fraction algorithms the integer versions
-# replaced: the full +-n/d rational-root enumeration, Fraction bisection,
-# Fraction Sturm sign counts, and the Fraction division, gcd, square-free
-# part, Sturm chain, deflation and isolation below.  The integer versions
-# must agree with them exactly, not approximately.
+# replaced: Fraction bisection, Fraction Sturm sign counts, and the Fraction
+# division, gcd, square-free part, Sturm chain, deflation and isolation
+# below.  The integer versions must agree with them exactly, not
+# approximately.
 
 def is_zero(p):
     return all(c == 0 for c in p)
@@ -614,53 +594,6 @@ def isolate_positive_roots(p):
     return sorted(exact), sf, intervals
 
 
-def _reference_divisors(n, limit=200):
-    n = abs(n)
-    if n == 0 or n > 10**12:
-        return None
-    divs = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            divs.append(i)
-            if i != n // i:
-                divs.append(n // i)
-            if len(divs) > limit:
-                return None
-        i += 1
-    return divs
-
-
-def _reference_rational_roots(p):
-    """All rational roots the guarded enumeration finds, of either sign."""
-    p = rp.trim(p)
-    d = rp.degree(p)
-    if d <= 0:
-        return []
-    if d == 1:
-        return [-p[0] / p[1]]
-    if d == 2:
-        c, b, a = p[0], p[1], p[2]
-        r = rp._fraction_sqrt(b * b - 4 * a * c)
-        if r is None:
-            return []
-        return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)})
-    ints = rp.clear_denominators(p)
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    nums = _reference_divisors(ints[0])
-    dens = _reference_divisors(ints[-1])
-    if nums is None or dens is None:
-        return []
-    roots = set()
-    for n in nums:
-        for dd in dens:
-            for cand in (Fraction(n, dd), Fraction(-n, dd)):
-                if rp.eval_at(p, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
 def _reference_refine(p, lo, hi):
     flo = rp.eval_at(p, lo)
     if flo == 0:
@@ -690,22 +623,11 @@ def _reference_count(p, a, b):
     return variations(a) - variations(b)
 
 
-# end coefficients at the 1e12 guard: primes just below it, 10**12 itself
-# (169 divisors), and numbers with more than 200 divisors
+# large end coefficients (primes just below 1e12, 10**12 itself, and numbers
+# with many divisors): big integers through the pseudo-remainders, and
+# Cauchy bounds far above the roots, so isolation bisects many levels
 _GUARD_CONSTANTS = [999_999_999_989, 999_999_000_001, 10**12, 963_761_198_400,
                     735_134_400, 720_720, 997_920]
-
-
-@given(st.one_of(st.integers(-10**7, 10**7), st.sampled_from(_GUARD_CONSTANTS)))
-@example(0)
-@example(10**12 + 1)
-@example(999_983 * 999_979)  # two primes near 1e6: trial division runs longest
-@example(3**25)
-@example(-(2**39))
-@settings(max_examples=150, deadline=None)
-def test_small_divisors_equal_the_trial_of_every_integer(n):
-    want = _reference_divisors(n)
-    assert rp._small_divisors(n) == (None if want is None else sorted(want))
 
 
 @st.composite
@@ -732,14 +654,33 @@ def planted_polynomials(draw):
     return [c * scale for c in poly], [Fraction(n, d) for n, d in planted]
 
 
-@given(planted_polynomials())
+def _integer_roots(shifts):
+    """(coefficients, roots) of the product of (x - a) over shifts: integer
+    roots, some repeated, and no others."""
+    poly = [Fraction(1)]
+    for a in shifts:
+        poly = [Fraction(0)] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= a * poly[j + 1]
+    return poly, [Fraction(a) for a in shifts]
+
+
+@given(st.one_of(st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(_integer_roots),
+                 planted_polynomials()))
 @example(([Fraction(c) for c in (-2, -1, -1, 1)], [Fraction(2)]))  # root at max|a_i| / lead
 @example(([Fraction(c) for c in (-3, -1, -1, 2)], [Fraction(3, 2)]))  # (2x - 3)(x**2 + x + 1)
-@settings(max_examples=50, deadline=None)
-def test_exact_rational_roots_equal_the_positive_part_of_full_enumeration(planted):
-    poly, _ = planted
-    want = [r for r in _reference_rational_roots(poly) if r > 0]
-    assert rp.exact_rational_roots(poly) == want
+@settings(max_examples=60, deadline=None)
+def test_isolation_finds_every_planted_positive_root(planted):
+    # each distinct positive planted root is one returned root, exact or
+    # refined; when every root is planted, no other root is returned
+    poly, roots = planted
+    exact, sf, intervals = rp.isolate_positive_roots(poly)
+    got = exact + [rp.refine_root(sf, lo, hi) for lo, hi in intervals]
+    want = {r for r in roots if r > 0}
+    for w in want:
+        assert sum(abs(g - w) <= w / 2**100 for g in got) == 1, (w, got)
+    if rp.degree(poly) == len(roots):
+        assert len(got) == len(want)
 
 
 @given(planted_polynomials())
@@ -766,9 +707,9 @@ def test_count_roots_equals_the_fraction_sturm_count(planted, ends):
         assert rp.count_roots(chain, r - 1, r) == _reference_count(poly, r - 1, r)
 
 
-# (x - 1)(2x - 3)(x + K) with K = (2**42 + 1) / 5: its constant term is above
-# the 1e12 guard, so the rational-root search is skipped, and its Cauchy
-# bound is 2**41, so the bisection's split point 1 is a root (a restart)
+# (x - 1)(2x - 3)(x + K) with K = (2**42 + 1) / 5: a cubic, so no closed form
+# finds its rational roots, and its Cauchy bound is 2**41, so the
+# bisection's split point 1 is a root (a restart)
 SPLIT_ON_A_ROOT = [Fraction(2638827906663), Fraction(-4398046511102),
                    Fraction(1759218604437), Fraction(2)]
 
@@ -781,10 +722,9 @@ def test_isolation_restarts_when_a_split_point_is_a_root():
     assert sf == rp.clear_denominators(rp.deflate(SPLIT_ON_A_ROOT, Fraction(1)))
 
 
-# (2x - 1)(720720 x**2 + 2x + 720721): its lead 1441440 has more than 200
-# divisors, so the rational-root search is skipped, and its Cauchy bound is
-# 2, so isolation returns (0, 2) and the bisection's second midpoint is the
-# root 1/2
+# (2x - 1)(720720 x**2 + 2x + 720721): a cubic, so no closed form finds its
+# root 1/2, and its Cauchy bound is 2, so isolation returns (0, 2) and the
+# bisection's second midpoint is that root
 ROOT_ON_A_MIDPOINT = [Fraction(-720721), Fraction(1441440), Fraction(-720716),
                       Fraction(1441440)]
 
