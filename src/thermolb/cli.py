@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import io
@@ -27,10 +28,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from ._ratpoly import eval_float
 from .equilibrium import ExpansionSpec, expand, verify_moments
-from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, NoRealSolutionError,
-                           RatioTuple, VelocityModel, _moment_residual,
-                           build_polynomial, derive_catalog_model,
-                           resolve_catalog, solve_model)
+from .model_solver import (CATALOG, RESIDUAL_TOLERANCE, RatioTuple,
+                           VelocityModel, _moment_residual, build_polynomial,
+                           derive_catalog_model, resolve_catalog, solve_model)
 from .riemann import GasState, VacuumError, sample_profile, solve_riemann
 from .simulator import (ShockTubeConfig, Snapshot, check_probes,
                         extract_plateaus, run, stability_scan)
@@ -75,6 +75,32 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_all(outputs: list[tuple[str | None, str]]) -> None:
+    """Write each (path, text) as _write_text does, all or nothing: each
+    file goes to a temporary sibling, the siblings replace their targets
+    once every one is written, and stdout comes last."""
+    files = [(Path(path), text) for path, text in outputs if path not in (None, "-")]
+    temps = []
+    try:
+        for path, text in files:
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            temps.append((temp, path))
+            try:  # the error names the path asked for, as _write_text's does
+                if path.is_dir():  # os.replace would fail after others were replaced
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                temp.write_text(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+        for temp, path in temps:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in temps:
+            temp.unlink(missing_ok=True)
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _emit_json(path: str | None, payload) -> None:
@@ -283,8 +309,7 @@ def cmd_sweep(args) -> int:
                                  eval_float(poly, v2 * v2) / lead])
         outputs.append((args.residual_out,
                         _csv_lines(["param", "v2", "residual"], res_rows)))
-    for path, text in outputs:  # written once both are built, so a failure leaves none
-        _write_text(path, text)
+    _write_all(outputs)  # once both are built, so a failure leaves neither
     return EXIT_OK
 
 
@@ -320,7 +345,11 @@ def cmd_verify(args) -> int:
         "checks": len(report.checks),
     }
     _emit_json(args.out, payload)
-    return EXIT_OK if report.passed else EXIT_EXPECTATION
+    if not report.passed:
+        print(f"expectation violated: max moment error {report.max_abs_error} "
+              f"exceeds tolerance {report.tolerance}", file=sys.stderr)
+        return EXIT_EXPECTATION
+    return EXIT_OK
 
 
 # -------------------------------------------------------------- simulate
@@ -632,13 +661,23 @@ def cmd_compare(args) -> int:
 
 # -------------------------------------------------------- stability-scan
 
+def _scan_list(flag: str, text: str) -> list[str]:
+    """The entries of a comma list; an empty grid axis is a usage error."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise UsageError(f"{flag} needs at least one entry, got {text!r}")
+    return items
+
+
 def cmd_stability_scan(args) -> int:
-    names = [t.strip() for t in args.models.split(",") if t.strip()]
+    names, labels, rho_texts, tau_texts = (
+        _scan_list(flag, text) for flag, text in (
+            ("--models", args.models), ("--expansions", args.expansions),
+            ("--rho-bars", args.rho_bars), ("--taus", args.taus)))
     models = [(name, _load_model(name)) for name in names]
-    specs = [_parse_expansion_label(t.strip())
-             for t in args.expansions.split(",") if t.strip()]
-    rho_bars = [float(t) for t in args.rho_bars.split(",") if t.strip()]
-    taus = [float(t) for t in args.taus.split(",") if t.strip()]
+    specs = [_parse_expansion_label(t) for t in labels]
+    rho_bars = [float(t) for t in rho_texts]
+    taus = [float(t) for t in tau_texts]
     entries = stability_scan(models, specs, rho_bars, taus, steps=args.steps,
                              nodes=args.nodes, workers=worker_count(args.workers))
     rows = [[e.model_name, e.expansion, e.rho_bar, e.tau, int(e.stable),
@@ -791,7 +830,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoRealSolutionError, VacuumError) as exc:
+    except VacuumError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -32,10 +32,6 @@ DEFAULT_GHOST_THRESHOLD = 1e-4
 RESIDUAL_TOLERANCE = 1e-8
 
 
-class NoRealSolutionError(ValueError):
-    """Raised when a requested closed-form model family has no real member."""
-
-
 @dataclass(frozen=True)
 class RatioTuple:
     """Integer lattice numbers (p_1, p_2, ...) of the positive speeds.
@@ -292,78 +288,6 @@ def solve_model(ratios: RatioTuple, *,
                    + [(rp.refine_root(sf, lo, hi), False) for lo, hi in intervals])
     return [_assemble_model(ratios, s, exact, ghost_threshold)
             for s, exact in found]
-
-
-def _radical_sum(a: Fraction, b: Fraction, d: Fraction) -> float:
-    """a + b*sqrt(d) in double precision without cancellation.
-
-    When a and b*sqrt(d) have opposite signs the direct sum can lose all
-    significant digits (outer weights behave like r**6/9 near r = 0);
-    rationalizing moves the subtraction into exact arithmetic:
-    a + b*sqrt(d) = (a**2 - b**2 d) / (a - b*sqrt(d)).
-    """
-    if b == 0 or d == 0:
-        return float(a)
-    sq = math.sqrt(float(d))
-    if a == 0 or (a > 0) == (b > 0):
-        return float(a) + float(b) * sq
-    num = a * a - b * b * d
-    den = float(a) - float(b) * sq
-    return float(num) / den
-
-
-def closed_form_q5(r) -> tuple[VelocityModel, VelocityModel]:
-    """The two five-velocity model branches in closed form.
-
-    Parameterized by the inverse speed ratio r = 1/pbar_2 in (0, 1):
-
-        chi  = sqrt(9 r**4 - 42 r**2 + 9)
-        v2   = sqrt(3 + 3 r**2 +- chi) / 2
-        w_1  = (9 r**4 - 27 r**2 - 6 -+ (3 r**2 - 2) chi) / (300 r**2 (r**2 - 1))
-        w_2  = (6 r**4 + 27 r**2 - 9 -+ (2 r**2 - 3) chi) / (300 (r**2 - 1))
-
-    (normalized weights of the inner and outer moving speeds; the rest
-    weight follows from normalization).  Returns (plus, minus) branches,
-    named by the sign in front of chi in v2; the plus branch is the one
-    whose outer weight vanishes as r -> 0.  Raises NoRealSolutionError
-    where the discriminant is negative (no real model exists).
-    """
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise ValueError(f"inverse speed ratio must lie in (0, 1), got {r}")
-    ratios = RatioTuple.from_ratios([1 / r])
-    r2 = r * r
-    disc = 9 * r2 * r2 - 42 * r2 + 9
-    if disc < 0:
-        raise NoRealSolutionError(
-            f"no real five-velocity model at inverse ratio {r}")
-    chi_exact = rp._fraction_sqrt(disc)
-
-    def branch(sign: int) -> VelocityModel:
-        if chi_exact is not None:
-            s = (3 + 3 * r2 + sign * chi_exact) / 4
-            return _assemble_model(ratios, s, True, DEFAULT_GHOST_THRESHOLD)
-        den1 = 300 * r2 * (r2 - 1)
-        den2 = 300 * (r2 - 1)
-        a1 = (9 * r2 * r2 - 27 * r2 - 6) / den1
-        b1 = -sign * (3 * r2 - 2) / den1
-        a2 = (6 * r2 * r2 + 27 * r2 - 9) / den2
-        b2 = -sign * (2 * r2 - 3) / den2
-        s = _radical_sum((3 + 3 * r2) / 4, Fraction(sign, 4), disc)
-        w1 = _radical_sum(a1, b1, disc)
-        w2 = _radical_sum(a2, b2, disc)
-        w0 = _radical_sum(1 - 2 * (a1 + a2), -2 * (b1 + b2), disc)
-        model = VelocityModel(
-            ratios=ratios,
-            v2=math.sqrt(s),
-            weights_normalized=(w0, w1, w2),
-            residual=0.0,
-            ghost_flags=(False, False, False),
-            all_positive=min(w0, w1, w2) >= 0,
-        )
-        return _finish_model(model, DEFAULT_GHOST_THRESHOLD)
-
-    return branch(+1), branch(-1)
 
 
 def detect_ghosts(model: VelocityModel,

@@ -1,16 +1,9 @@
-"""Exact moment references for Gaussian weights and the 1-D
-Maxwell-Boltzmann distribution.
+"""Exact moments of the Gaussian weight exp(-v**2), and discrete
+quadrature sums over a velocity model.
 
 The discrete models elsewhere in this package are built by matching
-velocity moments of the weight function exp(-v**2) and of the local
-Maxwell-Boltzmann density
-
-    f_eq(V) = rho * (pi*theta)**(-1/2) * exp(-(V - u)**2 / theta)
-
-written in the lab-frame velocity V, with temperature variable theta
-normalized so the reference state has theta = 1.  Every quantity here
-that can be exact is kept exact: Gaussian moments are rational multiples
-of sqrt(pi) and are represented as such.
+velocity moments of exp(-v**2).  Gaussian moments are rational multiples
+of sqrt(pi) and are kept exact as such.
 """
 from __future__ import annotations
 
@@ -59,21 +52,6 @@ def gaussian_moment(n: int) -> SqrtPiRational:
     Equals Gamma((n+1)/2) for even n and 0 for odd n.
     """
     return SqrtPiRational(gaussian_moment_coefficient(n))
-
-
-def mb_moment_exact(m: int, rho: Fraction, u: Fraction, theta: Fraction) -> Fraction:
-    """Exact m-th raw moment of the Maxwell-Boltzmann density.
-
-    integral(V**m f_eq dV) = rho * sum_{k even} C(m,k) u**(m-k)
-                             * theta**(k/2) * (k-1)!!/2**(k/2).
-    """
-    if m < 0:
-        raise ValueError(f"moment order must be nonnegative, got {m}")
-    acc = Fraction(0)
-    for k in range(0, m + 1, 2):
-        acc += (math.comb(m, k) * u ** (m - k) * theta ** (k // 2)
-                * gaussian_moment_coefficient(k))
-    return rho * acc
 
 
 def discrete_moment(model: "VelocityModel", n: int) -> float:

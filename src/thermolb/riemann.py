@@ -199,12 +199,6 @@ def _fan(state: GasState, sign: int, g: float, xi: float):
     return rho, u, 2.0 * p_local / rho
 
 
-def sample(solution: RiemannSolution, xi: float) -> GasState:
-    """Self-similar state at similarity coordinate xi = x / t."""
-    rho, u, theta = sample_profile(solution, [xi], 1.0)
-    return GasState(float(rho[0]), float(u[0]), float(theta[0]))
-
-
 def sample_profile(solution: RiemannSolution, positions: np.ndarray, time: float):
     """Sampled (rho, u, theta) arrays at given physical positions and time,
     the initial discontinuity sitting at x = 0.
@@ -249,36 +243,3 @@ def sample_profile(solution: RiemannSolution, positions: np.ndarray, time: float
             rho[i], u[i], theta[i] = _fan(state, sign, solution.gamma, float(xi[i]))
     return rho, u, theta
 
-
-def shock_residuals(solution: RiemannSolution) -> dict[str, float]:
-    """Rankine-Hugoniot defects of any shock waves present, and Riemann
-    invariant defects of any rarefactions; diagnostics for testing."""
-    g = solution.gamma
-    out: dict[str, float] = {}
-    for label, state, wave, rho_star, sign in (
-            ("left", solution.left, solution.left_wave, solution.rho_star_left, -1),
-            ("right", solution.right, solution.right_wave, solution.rho_star_right, +1)):
-        p_star, u_star = solution.p_star, solution.u_star
-        if wave.kind == "shock":
-            s = wave.head
-            m0 = state.rho * (state.u - s)
-            m1 = rho_star * (u_star - s)
-            out[f"{label}_mass"] = m1 - m0
-            out[f"{label}_momentum"] = (
-                rho_star * (u_star - s) * u_star + p_star
-                - state.rho * (state.u - s) * state.u - state.pressure)
-            e0 = state.pressure / ((g - 1.0) * state.rho)
-            e1 = p_star / ((g - 1.0) * rho_star)
-            # energy flux is continuous in the shock frame
-            out[f"{label}_energy"] = (
-                m1 * (e1 + 0.5 * (u_star - s)**2 + p_star / rho_star)
-                - m0 * (e0 + 0.5 * (state.u - s)**2 + state.pressure / state.rho))
-        else:
-            a = state.sound_speed(g)
-            a_star = math.sqrt(g * p_star / rho_star)
-            out[f"{label}_invariant"] = (
-                (u_star - sign * 2.0 * a_star / (g - 1.0))
-                - (state.u - sign * 2.0 * a / (g - 1.0)))
-            out[f"{label}_entropy"] = (
-                p_star / rho_star**g - state.pressure / state.rho**g)
-    return out

@@ -11,26 +11,19 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from oracles import NoRealSolutionError, closed_form_q5, shock_residuals
 from thermolb import (
     ExpansionSpec,
     GasState,
-    NoRealSolutionError,
-    RatioTuple,
     ShockTubeConfig,
-    closed_form_q5,
-    discrete_moment,
-    expand,
     extract_plateaus,
-    gaussian_moment,
-    moment_accuracy,
     run,
-    solve_model,
     solve_riemann,
-    verify_moments,
 )
 from thermolb.cli import EXIT_OK, main
-from thermolb.model_solver import derive_catalog_model
-from thermolb.riemann import shock_residuals
+from thermolb.equilibrium import expand, moment_accuracy, verify_moments
+from thermolb.model_solver import RatioTuple, derive_catalog_model, solve_model
+from thermolb.moments import discrete_moment, gaussian_moment
 
 TE = lambda n: ExpansionSpec("taylor", n)
 HE = lambda n: ExpansionSpec("hermite", n)

@@ -127,8 +127,28 @@ HUGE_SPEED_MODEL = {"p": [1, 3], "v2": 1e300, "weights_normalized": [0.5, 0.2, 0
      "failure: failed to bracket the star pressure\n"),
     (["verify", "--model", "huge.json", "--kind", "hermite", "--order", "3"], EXIT_USAGE,
      "error: model file huge.json has moment residual inf, above the tolerance 1e-08\n"),
+    (["verify", "--model", "q21", "--kind", "taylor", "--order", "5", "--tolerance", "1e-30",
+      "--out", "verify.json"], EXIT_EXPECTATION,
+     "expectation violated: max moment error 4.440892098500626e-16 exceeds tolerance 1e-30\n"),
+    # a model whose weights overflow a float
+    (["derive", "--ratios", "1e400"], EXIT_USAGE,
+     f"error: the speed or weights of the model (1, {10**400}) do not fit a float\n"),
+    # weights that fit a float, but a power of a speed in the residual does not
+    (["derive", "--ratios", "1e100"], EXIT_USAGE,
+     f"error: the speed or weights of the model (1, {10**100}) do not fit a float\n"),
+    # an empty grid axis, found before any model loads (nosuch would fail to)
+    (["stability-scan", "--models", "", "--expansions", "hermite:3", "--rho-bars", "3"],
+     EXIT_USAGE, "error: --models needs at least one entry, got ''\n"),
+    (["stability-scan", "--models", "nosuch", "--expansions", "", "--rho-bars", "3"],
+     EXIT_USAGE, "error: --expansions needs at least one entry, got ''\n"),
+    (["stability-scan", "--models", "nosuch", "--expansions", "hermite:3", "--rho-bars", ""],
+     EXIT_USAGE, "error: --rho-bars needs at least one entry, got ''\n"),
+    (["stability-scan", "--models", "nosuch", "--expansions", "hermite:3", "--rho-bars", "3",
+      "--taus", ""], EXIT_USAGE, "error: --taus needs at least one entry, got ''\n"),
 ], ids=["expand-theta0-over-zero", "riemann-star-pressure-unbracketed",
-        "model-file-speed-overflows"])
+        "model-file-speed-overflows", "verify-misses-its-tolerance", "derive-1e400-to-stdout",
+        "derive-1e100-to-stdout", "scan-empty-models", "scan-empty-expansions",
+        "scan-empty-rho-bars", "scan-empty-taus"])
 def test_a_failing_run_is_one_line_on_stderr(tmp_path, monkeypatch, run_cli, argv, code,
                                              line):
     monkeypatch.chdir(tmp_path)
@@ -248,6 +268,28 @@ def test_sweep_usage_errors(tmp_path):
     assert main(["sweep", "--ratios", "?", "--grid", "4:2:1"]) == EXIT_USAGE
     assert main(["sweep", "--ratios", "?", "--grid", "2:4:1",
                  "--residual-grid", "0.4:0.7:4"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("before, residual_out, error", [
+    (None, "missing/res.csv", "[Errno 2] No such file or directory: 'missing/res.csv'"),
+    (b"param\n", "missing/res.csv", "[Errno 2] No such file or directory: 'missing/res.csv'"),
+    (b"param\n", "res", "[Errno 21] Is a directory: 'res'"),
+], ids=["new-out", "existing-out", "residual-out-is-a-directory"])
+def test_sweep_whose_residual_out_cannot_be_written_leaves_no_result(tmp_path, monkeypatch,
+                                                                     run_cli, before,
+                                                                     residual_out, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res").mkdir()
+    if before is not None:
+        (tmp_path / "sw.csv").write_bytes(before)
+    code, out, err = run_cli(["sweep", "--ratios", "?", "--grid", "3:3:1",
+                              "--residual-grid", "0:1:3", "--residual-out", residual_out,
+                              "--out", "sw.csv"])
+    assert (code, out, err) == (EXIT_NUMERICAL, "", f"failure: {error}\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["res"] + ["sw.csv"] * bool(before)
+    assert list((tmp_path / "res").iterdir()) == []
+    if before is not None:
+        assert (tmp_path / "sw.csv").read_bytes() == before
 
 
 @pytest.mark.parametrize("flags, message", [

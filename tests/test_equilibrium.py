@@ -19,20 +19,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thermolb import (
+from oracles import mb_moment_exact
+from thermolb import ExpansionSpec, resolve_catalog
+from thermolb.equilibrium import (
     DiscreteEquilibrium,
-    ExpansionSpec,
-    RatioTuple,
-    VelocityModel,
     expand,
     moment_accuracy,
-    resolve_catalog,
-    solve_model,
     truncated_mb_moment,
     verify_moments,
 )
-from thermolb.model_solver import _moment_residual, catalog_names
-from thermolb.moments import gaussian_moment_coefficient, mb_moment_exact
+from thermolb.model_solver import (
+    RatioTuple,
+    VelocityModel,
+    _moment_residual,
+    catalog_names,
+    solve_model,
+)
+from thermolb.moments import gaussian_moment_coefficient
 
 # the benchmark combinations used across the suite:
 # (model fixture name, kind, order, m_max)

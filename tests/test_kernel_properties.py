@@ -19,13 +19,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from thermolb import (CATALOG, ExpansionSpec, ShockTubeConfig, expand,
-                      init_shock_tube, moment_accuracy, resolve_catalog, step,
-                      verify_moments)
-from thermolb import simulator
+from thermolb import ExpansionSpec, ShockTubeConfig, resolve_catalog, simulator
+from thermolb.equilibrium import expand, moment_accuracy, verify_moments
+from thermolb.model_solver import CATALOG
 from thermolb.simulator import (_light_cone, _run_tubes, check_health,
-                                default_step_count, density_fluctuation, min_nodes,
-                                run, stability_scan)
+                                default_step_count, density_fluctuation,
+                                init_shock_tube, min_nodes, run, stability_scan,
+                                step)
 
 MODELS = [entry.name for entry in CATALOG]
 EXPANSIONS = [ExpansionSpec("hermite", 3), ExpansionSpec("taylor", 3),

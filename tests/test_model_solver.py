@@ -17,21 +17,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from thermolb import (
-    NoRealSolutionError,
+from oracles import NoRealSolutionError, closed_form_q5
+from thermolb import _ratpoly as rp
+from thermolb import model_solver, resolve_catalog
+from thermolb.model_solver import (
+    CATALOG,
     RatioTuple,
+    _solve_weights,
     build_polynomial,
-    closed_form_q5,
+    catalog_names,
     detect_ghosts,
-    discrete_moment,
-    gaussian_moment,
-    resolve_catalog,
     solve_model,
 )
-from thermolb import _ratpoly as rp
-from thermolb import model_solver
-from thermolb.model_solver import CATALOG, _solve_weights, catalog_names
-from thermolb.moments import gaussian_moment_coefficient
+from thermolb.moments import discrete_moment, gaussian_moment, gaussian_moment_coefficient
 
 # (ratios beyond base, reference v2) -- six-decimal reference speeds
 REFERENCE = [

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from thermolb import discrete_moment, gaussian_moment
+from oracles import mb_moment_exact
 from thermolb.moments import (
+    discrete_moment,
     double_factorial,
+    gaussian_moment,
     gaussian_moment_coefficient,
-    mb_moment_exact,
 )
 
 
