@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,41 +71,62 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def _write_all(outputs: list[tuple[str | None, str]]) -> None:
-    """Write each (path, text) as _write_text does, all or nothing: each
-    file goes to a temporary sibling, the siblings replace their targets
-    once every one is written, and stdout comes last."""
-    files = [(Path(path), text) for path, text in outputs if path not in (None, "-")]
-    temps = []
+    """Write each (path, text), a path of None or "-" meaning stdout, all
+    or nothing.  A target that is missing or a regular file (through any
+    symlink) is written to a temporary sibling, and the siblings replace
+    their targets, keeping an existing file's mode, once every one is
+    written.  An existing target of another kind (a device, a FIFO), or a
+    file whose directory the run may not write, is written in place after
+    that, and stdout comes last.  An error names the path asked for."""
+    staged, in_place = [], []
     try:
-        for path, text in files:
-            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            temps.append((temp, path))
-            try:  # the error names the path asked for, as _write_text's does
-                if path.is_dir():  # os.replace would fail after others were replaced
+        for i, (path, text) in enumerate(outputs):
+            if path in (None, "-"):
+                continue
+            try:
+                target = Path(path).resolve()
+                try:
+                    mode = target.stat().st_mode
+                except FileNotFoundError:
+                    mode = None
+                if mode is not None and stat.S_ISDIR(mode):
+                    # os.replace would fail after others were replaced
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                if mode is not None and not (stat.S_ISREG(mode)
+                                             and os.access(target.parent, os.W_OK)):
+                    in_place.append((path, text))
+                    continue
+                # the index keeps two outputs to one path apart; the last one wins
+                temp = target.with_name(f".{target.name}.{os.getpid()}.{i}.tmp")
+                staged.append((temp, target))
                 temp.write_text(text)
+                if mode is not None:
+                    os.chmod(temp, stat.S_IMODE(mode))
             except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, str(path)) from None
-        for temp, path in temps:
-            os.replace(temp, path)
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for temp, target in staged:
+            os.replace(temp, target)
     finally:
-        for temp, _ in temps:
+        for temp, _ in staged:
             temp.unlink(missing_ok=True)
+    for path, text in in_place:
+        Path(path).write_text(text)
     for path, text in outputs:
         if path in (None, "-"):
             sys.stdout.write(text)
 
 
+def _write_text(path: str | None, text: str) -> None:
+    _write_all([(path, text)])
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit_json(path: str | None, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(payload))
 
 
 def _csv_lines(header: list[str], rows) -> str:
@@ -309,7 +331,7 @@ def cmd_sweep(args) -> int:
                                  eval_float(poly, v2 * v2) / lead])
         outputs.append((args.residual_out,
                         _csv_lines(["param", "v2", "residual"], res_rows)))
-    _write_all(outputs)  # once both are built, so a failure leaves neither
+    _write_all(outputs)  # once both are built, so a failure leaves neither file
     return EXIT_OK
 
 
@@ -432,8 +454,6 @@ def cmd_simulate(args) -> int:
     result = run(config)
     final = result.final
     csv_text = _snapshot_csv(final.rho, final.u, final.theta)
-    if args.csv:
-        _write_text(args.csv, csv_text)
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
     plateaus = extract_plateaus(result.final, *config.probes)
     manifest = {
@@ -450,10 +470,10 @@ def cmd_simulate(args) -> int:
         "final_step": result.final.step,
         "output_sha256": digest,
     }
-    if args.manifest:
-        _emit_json(args.manifest, manifest)
-    if not args.csv and not args.manifest:
-        _emit_json(None, manifest)
+    outputs = [(args.csv, csv_text)] if args.csv else []
+    if args.manifest or not args.csv:
+        outputs.append((args.manifest or None, _json_text(manifest)))
+    _write_all(outputs)  # a failed write leaves neither file
     if args.expect_stable and not result.verdict.stable:
         print(f"expectation violated: run unstable at step "
               f"{result.verdict.failure_step} ({result.verdict.failure_mode})",
@@ -498,10 +518,11 @@ def cmd_riemann(args) -> int:
                        "tail": sol.right_wave.tail},
         "iterations": sol.iterations,
     }
-    _emit_json(args.out, payload)
+    outputs = [(args.out, _json_text(payload))]
     if args.csv:
         x = (np.arange(args.nodes) - args.interface) * args.dx
-        _write_text(args.csv, _snapshot_csv(*sample_profile(sol, x, args.time)))
+        outputs.append((args.csv, _snapshot_csv(*sample_profile(sol, x, args.time))))
+    _write_all(outputs)  # a failed write leaves neither file
     return EXIT_OK
 
 

@@ -9,8 +9,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -290,6 +293,77 @@ def test_sweep_whose_residual_out_cannot_be_written_leaves_no_result(tmp_path, m
     assert list((tmp_path / "res").iterdir()) == []
     if before is not None:
         assert (tmp_path / "sw.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--model", "q7", "--kind", "taylor", "--order", "3", "--steps", "5",
+      "--csv", "run.csv", "--manifest", "missing/run.json"],
+     "failure: [Errno 2] No such file or directory: 'missing/run.json'\n"),
+    (["riemann", "--left", "3,0,1", "--right", "1,0,1", "--time", "5", "--out", "r.json",
+      "--csv", "missing/x.csv"],
+     "failure: [Errno 2] No such file or directory: 'missing/x.csv'\n"),
+], ids=["simulate-manifest", "riemann-csv"])
+def test_a_run_whose_second_output_cannot_be_written_leaves_no_result(tmp_path, monkeypatch,
+                                                                       run_cli, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == (EXIT_NUMERICAL, "", line)
+    assert list(tmp_path.iterdir()) == []
+
+
+def sweep_to(out, residual_out="res.csv"):
+    return ["sweep", "--ratios", "?", "--grid", "3:3:1", "--residual-grid", "0:1:3",
+            "--residual-out", residual_out, "--out", out]
+
+
+def test_sweep_writes_through_a_symlink_and_keeps_the_files_mode(tmp_path, monkeypatch,
+                                                                 run_cli):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "sw.csv").write_text("old\n")
+    (tmp_path / "data" / "sw.csv").chmod(0o640)
+    (tmp_path / "link.csv").symlink_to("data/sw.csv")
+    assert run_cli(sweep_to("link.csv")) == (EXIT_OK, "", "")
+    assert os.readlink(tmp_path / "link.csv") == "data/sw.csv"
+    header, rows = read_csv(tmp_path / "data" / "sw.csv")
+    assert header[0] == "param" and len(rows) == 1
+    assert stat.S_IMODE((tmp_path / "data" / "sw.csv").stat().st_mode) == 0o640
+    assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")) == [
+        "data", "data/sw.csv", "link.csv", "res.csv"]
+
+
+def test_sweep_writes_a_fifo_in_place(tmp_path, monkeypatch, run_cli):
+    monkeypatch.chdir(tmp_path)
+    fifo = tmp_path / "sw.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli(sweep_to("sw.csv")) == (EXIT_OK, "", "")
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert len(received) == 1 and received[0].startswith("param,")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["res.csv", "sw.csv"]
+
+
+def test_sweep_writes_a_file_in_place_when_its_directory_is_not_writable(tmp_path,
+                                                                         monkeypatch,
+                                                                         run_cli):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sw.csv").write_text("old\n")
+    inode = (tmp_path / "sw.csv").stat().st_ino
+    monkeypatch.setattr("thermolb.cli.os.access", lambda path, mode: False)
+    assert run_cli(sweep_to("sw.csv")) == (EXIT_OK, "", "")
+    assert (tmp_path / "sw.csv").stat().st_ino == inode
+    assert read_csv(tmp_path / "sw.csv")[0][0] == "param"
+
+
+def test_sweep_whose_out_is_its_residual_out_keeps_the_last_table(tmp_path, monkeypatch,
+                                                                 run_cli):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(sweep_to("x.csv", "x.csv")) == (EXIT_OK, "", "")
+    header, rows = read_csv(tmp_path / "x.csv")
+    assert header == ["param", "v2", "residual"] and len(rows) == 3
+    assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
 
 
 @pytest.mark.parametrize("flags, message", [
