@@ -49,11 +49,16 @@ from .model_solver import VelocityModel
 from .riemann import GasState, solve_riemann
 
 
-# Most nodes stepped as one batched lattice.  A step over a 1000-node tube
-# is mostly numpy call overhead; the equilibrium costs least per node near
-# 12000 nodes (q7 taylor:3: 188 ns at 1000, 42 ns at 12000 and 78 ns at
+# Most nodes stepped as one batched lattice.  Under the step's ufunc buffer
+# the equilibrium costs least per node near 12000 nodes (q7 taylor:3 on a
+# 2-core Xeon: 65 ns at 1000, 35 ns at 4000, 30 ns at 12000 and 56 ns at
 # 1e5, where the arrays leave the cache).
 _BATCH_NODES = 12000
+
+# ufunc buffer (elements) of a step: at numpy's 8192, a (k, 1) column times
+# an (n,) row takes the buffered iterator below ~2600 nodes, ~4x slower per
+# element.  A step is elementwise or sums over velocities: no bit changes.
+_UFUNC_BUFFER = 1024
 
 _LEFT_PROBES = (430, 650)  # the plateau probe nodes of a tube dense on the left
 PLATEAU_WINDOW = 10
@@ -220,9 +225,8 @@ class _Kernel:
     def _resize(self) -> None:
         """Per-node relaxation factors and work buffers for the tubes kept."""
         omega = np.repeat(self.omega, self.nodes)
-        unit = omega == 1.0
-        self.relax = None if unit.all() else (1.0 - omega, omega,
-                                              unit if unit.any() else None)
+        unit = np.flatnonzero(self.omega == 1.0).tolist()  # the tau = 1 tubes
+        self.relax = None if len(unit) == self.tubes else (1.0 - omega, omega, unit)
         self.feq = np.empty((len(self.hops), omega.size))
         self.spare = np.empty_like(self.feq)
 
@@ -267,7 +271,7 @@ class _Kernel:
         """Post-collision populations.  A tube with tau = 1 takes the
         equilibrium itself, which is what (1 - 1) * f + 1 * feq equals for
         finite f up to the sign of a zero.  Unless every tube has tau = 1,
-        state.f is relaxed in place, the tau = 1 nodes overwritten by feq,
+        state.f is relaxed in place, the tau = 1 tubes overwritten by feq,
         and returned."""
         feq = self.eq.populations(state.rho, state.u, state.theta, out=self.feq)
         if self.relax is None:
@@ -276,8 +280,9 @@ class _Kernel:
         state.f *= keep
         feq *= omega
         state.f += feq
-        if unit is not None:
-            np.copyto(state.f, feq, where=unit)
+        f, e = (a.reshape(len(self.hops), self.tubes, self.nodes) for a in (state.f, feq))
+        for i in unit:  # one block copy per tube
+            f[:, i] = e[:, i]
         return state.f
 
     def stream(self, post: np.ndarray, dst: np.ndarray) -> None:
@@ -328,10 +333,14 @@ def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
     returns state; state.f is rebound to the other population buffer (see
     LatticeState)."""
     kernel = state.run_kernel()
-    kernel.stream(kernel.collide(state), kernel.spare)
-    state.f, kernel.spare = kernel.spare, state.f
-    apply_boundaries(state, config)
-    kernel.macro_into(state.f, state.rho, state.u, state.theta)
+    saved = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        kernel.stream(kernel.collide(state), kernel.spare)
+        state.f, kernel.spare = kernel.spare, state.f
+        apply_boundaries(state, config)
+        kernel.macro_into(state.f, state.rho, state.u, state.theta)
+    finally:
+        np.setbufsize(saved)
     state.step_count += 1
     return state
 
@@ -354,10 +363,11 @@ def default_step_count(config: ShockTubeConfig) -> int:
 def density_fluctuation(rho: np.ndarray, margin: int) -> float:
     """Mean squared second difference of the density over the interior;
     a flat or piecewise-smooth profile scores near zero, node-scale
-    oscillation scores large."""
+    oscillation scores large (inf, quietly, past densities ~1e154)."""
     core = rho[margin:len(rho) - margin]
-    d2 = core[2:] - 2.0 * core[1:-1] + core[:-2]
-    return float(np.mean(d2 * d2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = core[2:] - 2.0 * core[1:-1] + core[:-2]
+        return float(np.mean(d2 * d2))
 
 
 def check_health(state: LatticeState, max_speed: float) -> str | None:
@@ -428,9 +438,9 @@ def run(config: ShockTubeConfig) -> RunResult:
 
     Snapshots are recorded by _Tube.due's rule: every snapshot_interval
     steps and at the horizon while healthy.  The verdict reports the first
-    failed health check, if any, and the largest density-fluctuation score
-    of a healthy snapshot; a tube that fails before its first snapshot
-    keeps its unhealthy fields as the one snapshot, unscored (0).
+    failed health check or non-finite fluctuation score, and the largest
+    score of a healthy snapshot; a tube that fails before its first
+    snapshot keeps its unhealthy fields as the one snapshot, unscored (0).
 
     The steps run on the lattice of _light_cone and every snapshot is
     expanded back to config.nodes.  Each node of config's lattice equals a
@@ -502,7 +512,11 @@ def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
                                     state.theta[rows][index])
                     tube.snapshots.append(snap)
                     if tube.failure is None:  # post-mortem fields are not scored
-                        tube.score = max(tube.score, density_fluctuation(snap.rho, margin))
+                        score = density_fluctuation(snap.rho, margin)
+                        if math.isfinite(score):
+                            tube.score = max(tube.score, score)
+                        else:
+                            tube.failure = (k, "non_finite_fluctuation")
             kept = np.array([t.failure is None and k < t.horizon for t in live])
             if not kept.all():
                 if not kept.any():

@@ -159,6 +159,38 @@ def test_a_failing_run_is_one_line_on_stderr(tmp_path, monkeypatch, run_cli, arg
     assert run_cli(argv) == (code, "", line)
 
 
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite JSON number {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# the fluctuation score grows as rho_bar squared: 4.4e296 at 1e150 and
+# past the largest float from about 1e154
+@pytest.mark.parametrize("rho_bar", ["1e155", "1e200", "1e300"])
+def test_a_fluctuation_score_past_a_float_fails_the_run(tmp_path, run_cli, rho_bar):
+    tube = ["--model", "q5", "--kind", "hermite", "--order", "3", "--nodes", "1200",
+            "--steps", "3"]
+    manifest = tmp_path / "run.json"
+    assert run_cli(["simulate", *tube, "--rho-bar", rho_bar, "--manifest", str(manifest)]) \
+        == (EXIT_NUMERICAL, "", "numerical failure: non_finite_fluctuation at step 3\n")
+    assert strict_json(manifest.read_text())["verdict"] == {
+        "stable": False, "failure_step": 3, "failure_mode": "non_finite_fluctuation",
+        "max_density_fluctuation": 0.0}
+    # a finite score keeps its bits and its stable verdict
+    code, out, _ = run_cli(["simulate", *tube, "--rho-bar", "1e150"])
+    assert code == EXIT_OK
+    assert strict_json(out)["verdict"]["max_density_fluctuation"] == 4.3967488618175255e+296
+    scan = tmp_path / "scan.csv"
+    assert run_cli(["stability-scan", "--models", "q5", "--expansions", "hermite:3",
+                    "--rho-bars", f"3,{rho_bar}", "--taus", "1,0.8", "--nodes", "1200",
+                    "--steps", "3", "--out", str(scan)])[0] == EXIT_OK
+    _, rows = read_csv(scan)
+    assert [row[4:] for row in rows[2:]] == [
+        ["0", "3", "non_finite_fluctuation", "0", "3"]] * 2
+    assert [row[4] for row in rows[:2]] == ["1", "1"]
+
+
 # ----------------------------------------------------------------- derive
 
 

@@ -22,10 +22,10 @@ from hypothesis.extra.numpy import arrays
 from thermolb import ExpansionSpec, ShockTubeConfig, resolve_catalog, simulator
 from thermolb.equilibrium import expand, moment_accuracy, verify_moments
 from thermolb.model_solver import CATALOG
-from thermolb.simulator import (_light_cone, _run_tubes, check_health,
-                                default_step_count, density_fluctuation,
-                                init_shock_tube, min_nodes, run, stability_scan,
-                                step)
+from thermolb.simulator import (_light_cone, _run_tubes, apply_boundaries,
+                                check_health, default_step_count,
+                                density_fluctuation, init_shock_tube, min_nodes,
+                                run, stability_scan, step)
 
 MODELS = [entry.name for entry in CATALOG]
 EXPANSIONS = [ExpansionSpec("hermite", 3), ExpansionSpec("taylor", 3),
@@ -140,6 +140,111 @@ def test_one_step_of_a_mirrored_state_is_the_exact_mirror(name, spec, tau, draw)
                       (mirrored.rho, state.rho[::-1]), (mirrored.u, -state.u[::-1]),
                       (mirrored.theta, state.theta[::-1])):
         assert np.array_equal(got, want, equal_nan=True)
+
+
+# lattice lengths on both sides of ~2600 nodes, below which numpy's default
+# ufunc buffer sends broadcast products through its buffered iterator; 8
+# nodes fit one q3 tube only
+BUFFER_NODES = [8, 1000, 2000, 2600, 3000, 12000]
+TUBE_TAUS = [(1.0,), (1.0, 1.0), (0.8,), (0.8, 0.6), (1.0, 0.8), (0.8, 1.0, 0.6, 1.0)]
+NUMPY_BUFFER = 8192  # numpy's default ufunc buffer size, in elements
+
+
+def kernel_calls(state, config):
+    """step's body, called directly at the caller's ufunc buffer size."""
+    kernel = state.kernel
+    kernel.stream(kernel.collide(state), kernel.spare)
+    state.f, kernel.spare = kernel.spare, state.f
+    apply_boundaries(state, config)
+    kernel.macro_into(state.f, state.rho, state.u, state.theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(MODELS), spec=st.sampled_from(EXPANSIONS),
+       nodes=st.sampled_from(BUFFER_NODES), taus=st.sampled_from(TUBE_TAUS),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="q3", spec=EXPANSIONS[1], nodes=8, taus=(1.0,), seed=0)
+@example(name="q3", spec=EXPANSIONS[2], nodes=8, taus=(0.8,), seed=1)
+@example(name="q21", spec=EXPANSIONS[2], nodes=2000, taus=(1.0, 0.8), seed=2)
+@example(name="q7", spec=EXPANSIONS[0], nodes=12000, taus=TUBE_TAUS[-1], seed=3)
+def test_step_gives_the_bits_of_its_kernel_calls_at_numpys_buffer(name, spec, nodes,
+                                                                  taus, seed):
+    # step runs under its own small ufunc buffer, which must not change a bit
+    m = model(name)
+    per_tube = nodes // len(taus)
+    assume(per_tube >= min_nodes(int(m.ratios.p[-1])))
+    configs = [ShockTubeConfig(model=m, expansion=spec, tau=tau, nodes=per_tube,
+                               interface=per_tube // 2) for tau in taus]
+    lattice = replace(configs[0], nodes=per_tube * len(taus))
+    rng = np.random.default_rng(seed)
+    n = lattice.nodes
+    rho, u, theta = rng.uniform(0.05, 20.0, n), rng.uniform(-0.5, 0.5, n), \
+        rng.uniform(0.3, 2.0, n)
+    noise = rng.uniform(-0.05, 0.05, (m.q, n))
+    got, want = (init_shock_tube(*configs) for _ in range(2))
+    for state in (got, want):
+        state.f[...] = state.kernel.eq.populations(rho, u, theta) * (1.0 + noise)
+        state.kernel.macro_into(state.f, state.rho, state.u, state.theta)
+    assert np.getbufsize() == NUMPY_BUFFER != simulator._UFUNC_BUFFER
+    for _ in range(2):  # the second step works in the swapped buffers
+        step(got, lattice)
+        kernel_calls(want, lattice)
+        assert bits(got.f, got.rho, got.u, got.theta) == \
+            bits(want.f, want.rho, want.u, want.theta)
+
+
+@pytest.mark.parametrize("taus", [(1.0, 0.8), (0.8, 1.0, 1.0), (1.0, 0.6, 1.0, 0.8)])
+def test_the_tau_one_tubes_of_a_mixed_lattice_take_the_equilibrium_bitwise(taus):
+    # (1 - 1) * f + feq equals feq only for finite f, so an infinite
+    # population shows whether a tau = 1 tube got the equilibrium itself
+    q, n = 7, 100
+    state = init_shock_tube(*(ShockTubeConfig(model=model("q7"), expansion=EXPANSIONS[1],
+                                              tau=tau, nodes=n, interface=n // 2)
+                              for tau in taus))
+    while taus:  # then again with the first tube cut out of the lattice
+        state.f[3] = np.inf
+        feq = state.kernel.eq.populations(state.rho, state.u, state.theta)
+        with np.errstate(invalid="ignore"):
+            post = state.kernel.collide(state).reshape(q, len(taus), n)
+        for i, tau in enumerate(taus):
+            if tau == 1.0:
+                assert bits(post[:, i]) == bits(feq.reshape(q, len(taus), n)[:, i])
+            else:
+                assert not np.isfinite(post[3, i]).any()
+        state.kernel.keep(state, np.arange(len(taus)) > 0)
+        taus = taus[1:]
+
+
+@pytest.fixture
+def caller_buffer():
+    """A ufunc buffer size of the test's own, restored afterwards."""
+    size = 3 * NUMPY_BUFFER
+    saved = np.setbufsize(size)
+    yield size
+    np.setbufsize(saved)
+
+
+def test_the_callers_ufunc_buffer_survives_runs_scans_and_a_failed_step(
+        caller_buffer, monkeypatch):
+    config = ShockTubeConfig(model=model("q7"), expansion=EXPANSIONS[1], tau=0.8,
+                             nodes=200, interface=100, steps=5)
+    run(config)
+    assert np.getbufsize() == caller_buffer
+    stability_scan([("q7", model("q7"))], EXPANSIONS[:2], [3.0, 11.0], [1.0, 0.8],
+                   steps=5, nodes=200, workers=1)
+    assert np.getbufsize() == caller_buffer
+    seen = []
+
+    def fail(self, *args):
+        seen.append(np.getbufsize())
+        raise RuntimeError("moments failed")
+
+    state = init_shock_tube(config)
+    monkeypatch.setattr(simulator._Kernel, "macro_into", fail)
+    with pytest.raises(RuntimeError, match="moments failed"):
+        step(state, config)
+    assert seen == [simulator._UFUNC_BUFFER]
+    assert np.getbufsize() == caller_buffer
 
 
 def term_scale(m, model, poly, rho, u, theta):
