@@ -498,11 +498,7 @@ def cmd_riemann(args) -> int:
             raise UsageError(f"{flag} must be a positive finite number, got {value}")
     if args.nodes < 1:
         raise UsageError(f"--nodes must be >= 1, got {args.nodes}")
-    try:
-        sol = solve_riemann(left, right, gamma=args.gamma)
-    except VacuumError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sol = solve_riemann(left, right, gamma=args.gamma)
     payload = {
         "gamma": sol.gamma,
         "p_star_physical": sol.p_star,
@@ -733,9 +729,16 @@ def cmd_catalog(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a UsageError, one line from main."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 @functools.cache  # parse_args keeps no state between calls, every default is immutable
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermolb",
         description="Discrete-velocity thermal lattice Boltzmann toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -770,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="catalog name or model JSON path")
     p.add_argument("--kind", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--tolerance", type=_threshold, default=1e-10)
+    p.add_argument("--tolerance", type=_threshold, default=1e-10,
+                   help="each moment passes within this times max(1, |exact moment|)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="run a shock tube")
@@ -836,21 +840,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses code 2 for usage errors; remap to our convention
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "workers"):  # simulate and stability-scan
             worker_count(args.workers)
         # looked up when called, not bound in the cached parser, so that a
         # wrapper set on this module's cmd_* (a tracer, a test) is what runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit:  # --help and --version
+        return EXIT_OK
     except VacuumError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

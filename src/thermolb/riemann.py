@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 GAMMA_DEFAULT = 3.0
+_TOL = 1e-12  # relative star-pressure increment at which the iteration stops
+_MAX_ITER = 200
 
 
 class VacuumError(ValueError):
@@ -113,12 +115,12 @@ def _two_rarefaction_guess(left: GasState, right: GasState, gamma: float) -> flo
     return (num / den) ** (1.0 / z)
 
 
-def solve_riemann(left: GasState, right: GasState, gamma: float = GAMMA_DEFAULT,
-                  tol: float = 1e-12, max_iter: int = 200) -> RiemannSolution:
+def solve_riemann(left: GasState, right: GasState,
+                  gamma: float = GAMMA_DEFAULT) -> RiemannSolution:
     """Exact solution of the Riemann problem between two gas states.
 
     Newton iteration on the star pressure with a guarded bisection
-    fallback; converges to relative pressure increments below tol.
+    fallback; converges to relative pressure increments below _TOL.
     Raises VacuumError when the states separate into vacuum.
     """
     if not 1.0 < gamma < math.inf:
@@ -142,7 +144,7 @@ def solve_riemann(left: GasState, right: GasState, gamma: float = GAMMA_DEFAULT,
             raise RuntimeError("failed to bracket the star pressure")
     p = min(max(_two_rarefaction_guess(left, right, gamma), lo), hi)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         f, df = total(p)
         if f > 0.0:
             hi = min(hi, p)
@@ -152,13 +154,13 @@ def solve_riemann(left: GasState, right: GasState, gamma: float = GAMMA_DEFAULT,
         p_new = p - step
         if not lo < p_new < hi:
             p_new = 0.5 * (lo + hi)  # bisection fallback
-        if abs(p_new - p) <= tol * 0.5 * (p_new + p):
+        if abs(p_new - p) <= _TOL * 0.5 * (p_new + p):
             p = p_new
             break
         p = p_new
     else:
         raise RuntimeError(
-            f"star pressure iteration failed to converge in {max_iter} steps")
+            f"star pressure iteration failed to converge in {_MAX_ITER} steps")
 
     fl, _ = _pressure_function(p, left, gamma)
     fr, _ = _pressure_function(p, right, gamma)

@@ -162,14 +162,8 @@ class LatticeState:
     rho: np.ndarray
     u: np.ndarray
     theta: np.ndarray
+    kernel: _Kernel  # the run's tables and buffers
     step_count: int = 0
-    kernel: _Kernel | None = None  # the run's tables and buffers
-
-    def run_kernel(self) -> _Kernel:
-        if self.kernel is None:
-            raise ValueError("lattice state has no kernel; build it with "
-                             "init_shock_tube")
-        return self.kernel
 
 
 @dataclass(frozen=True)
@@ -209,12 +203,11 @@ class _Kernel:
         self.hops = first.model.hops()
         self.nodes = first.nodes  # of each tube
 
-        def band(state: GasState) -> np.ndarray:
-            return self.eq.populations(state.rho, state.u, state.theta)
+        def band(states: list[GasState]) -> np.ndarray:  # one column per tube
+            return self.eq.populations(*np.array([(s.rho, s.u, s.theta) for s in states]).T)
 
-        # one column per tube
-        self.left_band = np.stack([band(c.left_state) for c in configs], axis=1)
-        self.right_band = np.stack([band(c.right_state) for c in configs], axis=1)
+        self.left_band = band([c.left_state for c in configs])
+        self.right_band = band([c.right_state for c in configs])
         self.omega = np.array([1.0 / c.tau for c in configs])
         self._resize()
 
@@ -320,7 +313,7 @@ def apply_boundaries(state: LatticeState, config: ShockTubeConfig) -> LatticeSta
     """Overwrite the first and last band_width nodes of every tube with the
     fixed equilibria of its side states (Dirichlet bands)."""
     b = config.band_width
-    kernel = state.run_kernel()
+    kernel = state.kernel
     f = state.f.reshape(len(kernel.hops), kernel.tubes, kernel.nodes)
     f[:, :, :b] = kernel.left_band[:, :, None]
     f[:, :, -b:] = kernel.right_band[:, :, None]
@@ -332,7 +325,7 @@ def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
     (config.nodes counts every tube of a batched lattice).  Mutates and
     returns state; state.f is rebound to the other population buffer (see
     LatticeState)."""
-    kernel = state.run_kernel()
+    kernel = state.kernel
     saved = np.setbufsize(_UFUNC_BUFFER)
     try:
         kernel.stream(kernel.collide(state), kernel.spare)
@@ -370,28 +363,21 @@ def density_fluctuation(rho: np.ndarray, margin: int) -> float:
         return float(np.mean(d2 * d2))
 
 
-def check_health(state: LatticeState, max_speed: float) -> str | None:
-    """None when healthy, otherwise a short failure-mode tag."""
-    if not np.isfinite(state.f).all():
-        return "non_finite_population"
-    if not (state.rho > 0.0).all():
-        return "non_positive_density"
-    if not (np.abs(state.u) <= max_speed).all():
-        return "runaway_velocity"
-    return None
-
-
-def _tube_health(state: LatticeState, max_speed: float) -> list[str | None]:
-    """check_health of each tube of state's lattice, in order.  The whole
-    lattice is checked first, so a healthy step costs a single check."""
-    kernel = state.run_kernel()
-    if check_health(state, max_speed) is None:
-        return [None] * kernel.tubes
-    n = kernel.nodes
-    return [check_health(LatticeState(f=state.f[:, i:i + n], rho=state.rho[i:i + n],
-                                      u=state.u[i:i + n], theta=state.theta[i:i + n]),
-                         max_speed)
-            for i in range(0, len(state.rho), n)]
+def check_health(state: LatticeState, max_speed: float) -> list[str | None]:
+    """One failure-mode tag per tube of state's lattice, in order: None for
+    a healthy tube, else the first test its own nodes fail, of finite
+    populations, positive density and |u| <= max_speed.  Each test runs
+    once over the whole lattice; only a failed one is split per tube."""
+    kernel = state.kernel
+    modes: list[str | None] = [None] * kernel.tubes
+    for mode, ok in (("non_finite_population", np.isfinite(state.f)),
+                     ("non_positive_density", state.rho > 0.0),
+                     ("runaway_velocity", np.abs(state.u) <= max_speed)):
+        if not ok.all():
+            tube_ok = ok.reshape(-1, kernel.tubes, kernel.nodes).all(axis=(0, 2))
+            for i in np.flatnonzero(~tube_ok):
+                modes[i] = modes[i] or mode
+    return modes
 
 
 @dataclass(frozen=True)
@@ -525,7 +511,7 @@ def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
                 live = [t for t, alive in zip(live, kept) if alive]
                 stepped = replace(lattice, nodes=len(live) * n)
             step(state, stepped)
-            for tube, mode in zip(live, _tube_health(state, max_speed)):
+            for tube, mode in zip(live, check_health(state, max_speed)):
                 if mode is not None:
                     tube.failure = (state.step_count, mode)
     return [t.result() for t in tubes]

@@ -2,14 +2,17 @@
 
 None of these is reached by the CLI or the benchmark, so they live here
 rather than in ``src/``: the paper's closed-form five-velocity branches,
-the exact Maxwell-Boltzmann moments, the one-point Riemann sampler and the
-jump-condition residuals of a Riemann solution.  Tests import them with
-``from oracles import ...``; pytest puts this directory on ``sys.path``.
+the exact Maxwell-Boltzmann moments, the one-point Riemann sampler, the
+jump-condition residuals of a Riemann solution and the health check of
+one tube at a time.  Tests import them with ``from oracles import ...``;
+pytest puts this directory on ``sys.path``.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from thermolb import _ratpoly as rp
 from thermolb import model_solver
@@ -153,3 +156,23 @@ def shock_residuals(solution: RiemannSolution) -> dict[str, float]:
             out[f"{label}_entropy"] = (
                 p_star / rho_star**g - state.pressure / state.rho**g)
     return out
+
+
+# ------------------------------------------------------------ tube health
+
+def tube_health(f, rho, u, max_speed: float, tubes: int) -> list[str | None]:
+    """The failure mode of each of `tubes` equal tubes laid end to end,
+    from its own slice of the lattice fields alone: the first of finite
+    populations, positive density and |u| <= max_speed that it fails."""
+    n = len(rho) // tubes
+    modes = []
+    for rows in (slice(i, i + n) for i in range(0, len(rho), n)):
+        if not np.isfinite(f[:, rows]).all():
+            modes.append("non_finite_population")
+        elif not (rho[rows] > 0.0).all():
+            modes.append("non_positive_density")
+        elif not (np.abs(u[rows]) <= max_speed).all():
+            modes.append("runaway_velocity")
+        else:
+            modes.append(None)
+    return modes

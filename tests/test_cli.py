@@ -68,7 +68,7 @@ def test_consecutive_calls_on_the_cached_parser_keep_their_own_results(capsys, m
     derive, bad, verify, again = outputs
     assert len(json.loads(derive.out)) == 2 and derive.err == ""
     assert bad.out == "" and "argument --q: invalid int value: 'five'" in bad.err
-    assert bad.err.startswith("usage: thermolb derive")
+    assert bad.err == "error: argument --q: invalid int value: 'five'\n"
     assert json.loads(verify.out)["passed"] is True and verify.err == ""
     assert again == derive
     # the command runs from the module when called, so a wrapper set later runs
@@ -148,10 +148,17 @@ HUGE_SPEED_MODEL = {"p": [1, 3], "v2": 1e300, "weights_normalized": [0.5, 0.2, 0
      EXIT_USAGE, "error: --rho-bars needs at least one entry, got ''\n"),
     (["stability-scan", "--models", "nosuch", "--expansions", "hermite:3", "--rho-bars", "3",
       "--taus", ""], EXIT_USAGE, "error: --taus needs at least one entry, got ''\n"),
+    # argparse's own errors: one line naming the flag, no usage block
+    (["derive", "--q", "five"], EXIT_USAGE,
+     "error: argument --q: invalid int value: 'five'\n"),
+    (["verify", "--model", "q5", "--kind", "hermite", "--order", "3", "--tolerance", "nan"],
+     EXIT_USAGE, "error: argument --tolerance: need a finite number >= 0, got 'nan'\n"),
+    ([], EXIT_USAGE, "error: the following arguments are required: command\n"),
 ], ids=["expand-theta0-over-zero", "riemann-star-pressure-unbracketed",
         "model-file-speed-overflows", "verify-misses-its-tolerance", "derive-1e400-to-stdout",
         "derive-1e100-to-stdout", "scan-empty-models", "scan-empty-expansions",
-        "scan-empty-rho-bars", "scan-empty-taus"])
+        "scan-empty-rho-bars", "scan-empty-taus", "derive-q-not-an-integer",
+        "verify-tolerance-nan", "no-subcommand"])
 def test_a_failing_run_is_one_line_on_stderr(tmp_path, monkeypatch, run_cli, argv, code,
                                              line):
     monkeypatch.chdir(tmp_path)
@@ -505,6 +512,27 @@ def test_verify_failure_uses_the_expectation_exit_code(tmp_path):
     payload = load_json(out)
     assert payload["passed"] is False
     assert payload["max_abs_error"] > 1e-10
+
+
+@pytest.fixture(scope="module")
+def q63_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("q63") / "q63.json"
+    ratios = ",".join(str(p) for p in range(2, 32))
+    assert main(["derive", "--ratios", ratios, "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("kind", ["taylor", "hermite"])
+@pytest.mark.parametrize("order", [18, 20])
+def test_verify_passes_a_q63_model_within_the_rounding_of_its_moments(q63_file, run_cli,
+                                                                     kind, order):
+    # errors of 5e-10 to 8e-9 on moments up to ~7e6 (about 1e-15 of them)
+    # miss the absolute 1e-10; the tolerance scales with the moment
+    code, out, err = run_cli(["verify", "--model", str(q63_file), "--kind", kind,
+                              "--order", str(order)])
+    payload = json.loads(out)
+    assert (code, err, payload["passed"], payload["m_max"]) == (EXIT_OK, "", True, order)
+    assert payload["max_abs_error"] > payload["tolerance"] == 1e-10
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "x"])

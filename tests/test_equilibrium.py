@@ -23,6 +23,8 @@ from oracles import mb_moment_exact
 from thermolb import ExpansionSpec, resolve_catalog
 from thermolb.equilibrium import (
     DiscreteEquilibrium,
+    MomentCheck,
+    MomentReport,
     expand,
     moment_accuracy,
     truncated_mb_moment,
@@ -293,6 +295,17 @@ def test_verify_moments_rejects_a_bad_tolerance(q5, tolerance):
         verify_moments(q5, expand(ExpansionSpec("hermite", 3)), tolerance=tolerance)
 
 
+def test_moment_tolerance_is_absolute_up_to_one_and_relative_above():
+    def passed(expected, error):
+        check = MomentCheck(4, 1.0, -0.2, 1.2, expected + error, expected)
+        return MomentReport(m_max=4, tolerance=1e-10, checks=(check,)).passed
+
+    assert passed(1e6, 9e-5) and passed(-1e6, -9e-5)
+    assert not passed(1e6, 2e-4) and not passed(-1e6, 2e-4)
+    assert passed(0.5, 9e-11) and not passed(0.5, 2e-10)
+    assert passed(0.0, 1e-10) and not passed(0.0, 1.1e-10)
+
+
 def test_guarantee_is_sharp(q5):
     # (q5, HE3) guarantees m <= 3.  Parity stretches the agreement to
     # m = 4 (the violating terms there have odd total degree, which both
@@ -352,15 +365,6 @@ def test_populations_mirror_bitwise(q7):
     mirror[1::2] = pops[2::2]
     mirror[2::2] = pops[1::2]
     assert np.array_equal(flipped, mirror)
-
-
-def test_evaluate_feq_agrees_with_populations(q5):
-    # one scalar state gives the (q,) column of the array evaluation
-    deq = DiscreteEquilibrium(q5, expand(ExpansionSpec(kind="hermite", order=3)))
-    got = deq.populations(2.5, 0.1, 0.95)
-    want = deq.populations(np.array([2.5]), np.array([0.1]),
-                           np.array([0.95]))[:, 0]
-    np.testing.assert_array_equal(got, want)
 
 
 def test_discrete_equilibrium_requires_unit_base_temperature(q5):
@@ -456,7 +460,7 @@ def _oracle_discrete_moments(model, poly, samples, m_max):
     v = _oracle_velocities(model)
     out = []
     for rho, u, theta in samples:
-        f = evaluator.populations(rho, u, theta)
+        f = evaluator.populations(np.array([rho]), np.array([u]), np.array([theta]))[:, 0]
         for m in range(0, m_max + 1):
             out.append(math.fsum(f[i] * v[i]**m for i in range(model.q)))
     return out

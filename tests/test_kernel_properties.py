@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import tube_health
 from thermolb import ExpansionSpec, ShockTubeConfig, resolve_catalog, simulator
 from thermolb.equilibrium import expand, moment_accuracy, verify_moments
 from thermolb.model_solver import CATALOG
@@ -247,6 +248,42 @@ def test_the_callers_ufunc_buffer_survives_runs_scans_and_a_failed_step(
     assert np.getbufsize() == caller_buffer
 
 
+POISONS = ("nan", "inf", "-inf", "rho", "u")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(MODELS), tubes=st.integers(1, 6))
+@example(data=None, name="q5", tubes=3)  # every poison on one node of the last tube
+def test_check_health_answers_each_tube_as_its_own_slice(data, name, tubes):
+    m = model(name)
+    n = min_nodes(int(m.ratios.p[-1]))
+    config = ShockTubeConfig(model=m, expansion=EXPANSIONS[1], nodes=n, interface=n // 2)
+    state = init_shock_tube(*[config] * tubes)
+    max_speed = 1.5 * m.max_speed
+    state.u[n // 2::n] = max_speed  # one node of each tube at the healthy limit
+    if data is None:
+        targets = [(tubes - 1, n // 2, set(POISONS))]
+    else:  # (tube, node in it, poisons set there), several per node or tube
+        targets = data.draw(st.lists(st.tuples(st.integers(0, tubes - 1),
+                                               st.integers(0, n - 1),
+                                               st.sets(st.sampled_from(POISONS), min_size=1)),
+                                     max_size=5), label="targets")
+    for tube, node, poisons in targets:
+        at = tube * n + node
+        for poison in poisons:
+            if poison == "rho":
+                state.rho[at] = data.draw(st.floats(max_value=0.0)) if data else -1.0
+            elif poison == "u":
+                state.u[at] = data.draw(st.floats(min_value=max_speed, exclude_min=True)
+                                        | st.floats(max_value=-max_speed, exclude_max=True)
+                                        ) if data else math.inf
+            else:
+                row = data.draw(st.integers(0, m.q - 1)) if data else 0
+                state.f[row, at] = float(poison)
+    assert check_health(state, max_speed) == \
+        tube_health(state.f, state.rho, state.u, max_speed, tubes)
+
+
 def term_scale(m, model, poly, rho, u, theta):
     """Sum of |term| over the terms of sum_i v_i**m f_i^eq: the size that
     the rounding error of either side of the moment check scales with."""
@@ -284,7 +321,7 @@ def dense_run(config):
     snapshots, failure = [], (None, None)
     for n in range(1, total + 1):
         step(state, config)
-        mode = check_health(state, 1.5 * config.model.max_speed)
+        [mode] = check_health(state, 1.5 * config.model.max_speed)
         if mode is not None:
             failure = (n, mode)
             break

@@ -26,10 +26,8 @@ from thermolb import resolve_catalog, simulator
 from thermolb.cli import EXIT_OK, WORKERS_ENV_VAR, main, worker_count
 from thermolb.equilibrium import ExpansionSpec
 from thermolb.simulator import (
-    LatticeState,
     ShockTubeConfig,
     Snapshot,
-    apply_boundaries,
     check_health,
     default_step_count,
     density_fluctuation,
@@ -53,8 +51,8 @@ def test_initial_state_is_two_resting_equilibria(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
     kernel = state.kernel
-    dense = kernel.eq.populations(3.0, 0.0, 1.0)
-    dilute = kernel.eq.populations(1.0, 0.0, 1.0)
+    dense = kernel.eq.populations(*np.array([[3.0], [0.0], [1.0]]))[:, 0]
+    dilute = kernel.eq.populations(*np.array([[1.0], [0.0], [1.0]]))[:, 0]
     assert np.array_equal(state.f[:, :500], np.broadcast_to(dense[:, None], (q5.q, 500)))
     assert np.array_equal(state.f[:, 500:], np.broadcast_to(dilute[:, None], (q5.q, 500)))
     assert np.abs(state.rho[:500] - 3.0).max() < 1e-12
@@ -91,8 +89,8 @@ def test_boundary_bands_stay_pinned(q5):
         step(state, config)
     b = config.band_width
     assert b == 3  # largest single-step hop of the (1, 3) model
-    dense = kernel.eq.populations(3.0, 0.0, 1.0)
-    dilute = kernel.eq.populations(1.0, 0.0, 1.0)
+    dense = kernel.eq.populations(*np.array([[3.0], [0.0], [1.0]]))[:, 0]
+    dilute = kernel.eq.populations(*np.array([[1.0], [0.0], [1.0]]))[:, 0]
     assert np.array_equal(state.f[:, :b], np.broadcast_to(dense[:, None], (q5.q, b)))
     assert np.array_equal(state.f[:, -b:], np.broadcast_to(dilute[:, None], (q5.q, b)))
     assert state.step_count == 12
@@ -414,36 +412,29 @@ def test_density_fluctuation_scores():
     assert density_fluctuation(spiked, margin=4) == 0.0
 
 
-def _toy_state(f, rho, u):
-    data = np.asarray(f, dtype=float)
-    return LatticeState(f=data, rho=np.asarray(rho, dtype=float),
-                        u=np.asarray(u, dtype=float),
-                        theta=np.ones(len(rho)))
+def _toy_state(model, f, rho, u):
+    """A 12-node lattice of init_shock_tube carrying the given fields."""
+    state = init_shock_tube(ShockTubeConfig(model=model, expansion=TE2, nodes=12,
+                                            interface=6))
+    state.f[:3, :4] = f
+    state.rho[:4], state.u[:4] = rho, u
+    return state
 
 
-def test_step_without_kernel_is_a_clear_error(q5):
-    config = ShockTubeConfig(model=q5, expansion=TE2, nodes=60, interface=30)
-    state = _toy_state(np.ones((q5.q, 60)), np.ones(60), np.zeros(60))
-    with pytest.raises(ValueError, match="init_shock_tube"):
-        step(state, config)
-    with pytest.raises(ValueError, match="init_shock_tube"):
-        apply_boundaries(state, config)
-
-
-def test_check_health_modes():
+def test_check_health_modes(q5):
     ones = np.ones((3, 4))
-    assert check_health(_toy_state(ones, [1, 1, 1, 1], [0, 0, 0, 0]), 2.0) is None
+    assert check_health(_toy_state(q5, ones, [1, 1, 1, 1], [0, 0, 0, 0]), 2.0) == [None]
     bad_f = ones.copy()
     bad_f[1, 2] = np.nan
-    assert check_health(_toy_state(bad_f, [1, 1, 1, 1], [0, 0, 0, 0]),
-                        2.0) == "non_finite_population"
-    assert check_health(_toy_state(ones, [1, 0, 1, 1], [0, 0, 0, 0]),
-                        2.0) == "non_positive_density"
-    assert check_health(_toy_state(ones, [1, 1, 1, 1], [0, -2.5, 0, 0]),
-                        2.0) == "runaway_velocity"
+    [mode] = check_health(_toy_state(q5, bad_f, [1, 1, 1, 1], [0, 0, 0, 0]), 2.0)
+    assert mode == "non_finite_population"
+    [mode] = check_health(_toy_state(q5, ones, [1, 0, 1, 1], [0, 0, 0, 0]), 2.0)
+    assert mode == "non_positive_density"
+    [mode] = check_health(_toy_state(q5, ones, [1, 1, 1, 1], [0, -2.5, 0, 0]), 2.0)
+    assert mode == "runaway_velocity"
     # non-finite populations win over a bad density
-    assert check_health(_toy_state(bad_f, [1, -1, 1, 1], [0, 0, 0, 0]),
-                        2.0) == "non_finite_population"
+    [mode] = check_health(_toy_state(q5, bad_f, [1, -1, 1, 1], [0, 0, 0, 0]), 2.0)
+    assert mode == "non_finite_population"
 
 
 def _piecewise_snapshot(n=1000, split=560):
