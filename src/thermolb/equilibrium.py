@@ -176,7 +176,6 @@ class DiscreteEquilibrium:
                 "discrete evaluation requires base temperature 1 (the lattice "
                 f"weights absorb a unit-width Gaussian), got {poly.spec.theta0}")
         self.model = model
-        self.poly = poly
         groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
         for (kv, ku, kt), c in sorted(poly.terms.items()):
             groups.setdefault((ku, kt), []).append((kv, float(c)))

@@ -9,7 +9,8 @@ Each step runs as whole-array numpy operations over every node: the
 collision, a slice-shift stream into a second buffer that then swaps
 with the first (the wrapped-around columns land inside the boundary
 bands, which are rewritten right after), the two band columns computed
-once per run, and the moments.
+once per run, and the moments.  One LatticeState holds a lattice's
+fields, tables and work buffers.
 
 A lattice may hold several tubes of one model, expansion and length laid
 end to end, each with its own bands, relaxation time and horizon; what
@@ -149,23 +150,6 @@ class ShockTubeConfig:
         return self.model.v2 / self.model.ratios.p[0]
 
 
-@dataclass
-class LatticeState:
-    """Lattice fields of one run, built by init_shock_tube.
-
-    step rebinds f to the kernel's second buffer every update and reuses
-    the previous f as scratch on the next one, so a caller that keeps the
-    populations across a step must copy state.f.
-    """
-
-    f: np.ndarray  # populations, shape (q, nodes), tube after tube
-    rho: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    kernel: _Kernel  # the run's tables and buffers
-    step_count: int = 0
-
-
 @dataclass(frozen=True)
 class Snapshot:
     step: int
@@ -186,10 +170,16 @@ class StabilityVerdict:
     max_density_fluctuation: float = 0.0
 
 
-class _Kernel:
-    """Per-run compiled pieces: velocity tables, the equilibrium
-    evaluator, each tube's two boundary-band columns and relaxation rate,
-    and the work buffers."""
+class LatticeState:
+    """One lattice: the tubes of configs, which share model, expansion,
+    nodes and interface, laid end to end in order.  It holds the fields,
+    the velocity tables, the equilibrium evaluator, each tube's two
+    boundary-band columns and relaxation rate, and the work buffers.
+
+    step rebinds f to the spare buffer every update and reuses the previous
+    f as scratch on the next one, so a caller that keeps the populations
+    across a step must copy state.f.
+    """
 
     def __init__(self, configs: Sequence[ShockTubeConfig]):
         first = configs[0]
@@ -210,6 +200,15 @@ class _Kernel:
         self.right_band = band([c.right_state for c in configs])
         self.omega = np.array([1.0 / c.tau for c in configs])
         self._resize()
+        # equilibrium initialization: each tube's two resting states
+        q, cut = len(self.hops), first.interface
+        f = np.empty((q, self.tubes, self.nodes))
+        f[:, :, :cut] = self.left_band[:, :, None]
+        f[:, :, cut:] = self.right_band[:, :, None]
+        self.f = f.reshape(q, -1)  # populations, tube after tube
+        self.rho, self.u, self.theta = (np.empty(self.f.shape[1]) for _ in range(3))
+        self.macro_into(self.f, self.rho, self.u, self.theta)
+        self.step_count = 0
 
     @property
     def tubes(self) -> int:
@@ -223,15 +222,14 @@ class _Kernel:
         self.feq = np.empty((len(self.hops), omega.size))
         self.spare = np.empty_like(self.feq)
 
-    def keep(self, state: LatticeState, kept: np.ndarray) -> None:
+    def keep(self, kept: np.ndarray) -> None:
         """Cut every tube whose entry in the boolean kept is False out of
-        state's fields and the kernel's tables."""
+        the fields and the tables."""
         def cut(a: np.ndarray) -> np.ndarray:
             lead = a.shape[:-1]
             return a.reshape(*lead, self.tubes, self.nodes)[..., kept, :].reshape(*lead, -1)
 
-        state.f, state.rho, state.u, state.theta = map(
-            cut, (state.f, state.rho, state.u, state.theta))
+        self.f, self.rho, self.u, self.theta = map(cut, (self.f, self.rho, self.u, self.theta))
         self.left_band = self.left_band[:, kept]
         self.right_band = self.right_band[:, kept]
         self.omega = self.omega[kept]
@@ -260,23 +258,23 @@ class _Kernel:
         u[:] = uu
         theta[:] = th
 
-    def collide(self, state: LatticeState) -> np.ndarray:
+    def collide(self) -> np.ndarray:
         """Post-collision populations.  A tube with tau = 1 takes the
         equilibrium itself, which is what (1 - 1) * f + 1 * feq equals for
         finite f up to the sign of a zero.  Unless every tube has tau = 1,
-        state.f is relaxed in place, the tau = 1 tubes overwritten by feq,
-        and returned."""
-        feq = self.eq.populations(state.rho, state.u, state.theta, out=self.feq)
+        f is relaxed in place, the tau = 1 tubes overwritten by feq, and
+        returned."""
+        feq = self.eq.populations(self.rho, self.u, self.theta, out=self.feq)
         if self.relax is None:
             return feq
-        keep, omega, unit = self.relax
-        state.f *= keep
+        decay, omega, unit = self.relax
+        self.f *= decay
         feq *= omega
-        state.f += feq
-        f, e = (a.reshape(len(self.hops), self.tubes, self.nodes) for a in (state.f, feq))
+        self.f += feq
+        f, e = (a.reshape(len(self.hops), self.tubes, self.nodes) for a in (self.f, feq))
         for i in unit:  # one block copy per tube
             f[:, i] = e[:, i]
-        return state.f
+        return self.f
 
     def stream(self, post: np.ndarray, dst: np.ndarray) -> None:
         """Shift every population row by its hop from post into dst.  The
@@ -292,31 +290,19 @@ class _Kernel:
 
 
 def init_shock_tube(*configs: ShockTubeConfig) -> LatticeState:
-    """Equilibrium initialization of a two-state tube, carrying the run's
-    kernel, which is built here once.  Several configs of one model,
-    expansion, node count and interface give one lattice holding their
-    tubes end to end, in order."""
-    kernel = _Kernel(configs)
-    q, cut = configs[0].model.q, configs[0].interface
-    f = np.empty((q, kernel.tubes, kernel.nodes))
-    f[:, :, :cut] = kernel.left_band[:, :, None]
-    f[:, :, cut:] = kernel.right_band[:, :, None]
-    f = f.reshape(q, -1)
-    n = f.shape[1]
-    out = LatticeState(f=f, rho=np.empty(n), u=np.empty(n), theta=np.empty(n),
-                       kernel=kernel)
-    kernel.macro_into(f, out.rho, out.u, out.theta)
-    return out
+    """Equilibrium initialization of a two-state tube.  Several configs of
+    one model, expansion, node count and interface give one lattice holding
+    their tubes end to end, in order."""
+    return LatticeState(configs)
 
 
 def apply_boundaries(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
     """Overwrite the first and last band_width nodes of every tube with the
     fixed equilibria of its side states (Dirichlet bands)."""
     b = config.band_width
-    kernel = state.kernel
-    f = state.f.reshape(len(kernel.hops), kernel.tubes, kernel.nodes)
-    f[:, :, :b] = kernel.left_band[:, :, None]
-    f[:, :, -b:] = kernel.right_band[:, :, None]
+    f = state.f.reshape(len(state.hops), state.tubes, state.nodes)
+    f[:, :, :b] = state.left_band[:, :, None]
+    f[:, :, -b:] = state.right_band[:, :, None]
     return state
 
 
@@ -325,13 +311,12 @@ def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
     (config.nodes counts every tube of a batched lattice).  Mutates and
     returns state; state.f is rebound to the other population buffer (see
     LatticeState)."""
-    kernel = state.kernel
     saved = np.setbufsize(_UFUNC_BUFFER)
     try:
-        kernel.stream(kernel.collide(state), kernel.spare)
-        state.f, kernel.spare = kernel.spare, state.f
+        state.stream(state.collide(), state.spare)
+        state.f, state.spare = state.spare, state.f
         apply_boundaries(state, config)
-        kernel.macro_into(state.f, state.rho, state.u, state.theta)
+        state.macro_into(state.f, state.rho, state.u, state.theta)
     finally:
         np.setbufsize(saved)
     state.step_count += 1
@@ -368,13 +353,12 @@ def check_health(state: LatticeState, max_speed: float) -> list[str | None]:
     a healthy tube, else the first test its own nodes fail, of finite
     populations, positive density and |u| <= max_speed.  Each test runs
     once over the whole lattice; only a failed one is split per tube."""
-    kernel = state.kernel
-    modes: list[str | None] = [None] * kernel.tubes
+    modes: list[str | None] = [None] * state.tubes
     for mode, ok in (("non_finite_population", np.isfinite(state.f)),
                      ("non_positive_density", state.rho > 0.0),
                      ("runaway_velocity", np.abs(state.u) <= max_speed)):
         if not ok.all():
-            tube_ok = ok.reshape(-1, kernel.tubes, kernel.nodes).all(axis=(0, 2))
+            tube_ok = ok.reshape(-1, state.tubes, state.nodes).all(axis=(0, 2))
             for i in np.flatnonzero(~tube_ok):
                 modes[i] = modes[i] or mode
     return modes
@@ -507,7 +491,7 @@ def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
             if not kept.all():
                 if not kept.any():
                     break
-                state.kernel.keep(state, kept)
+                state.keep(kept)
                 live = [t for t, alive in zip(live, kept) if alive]
                 stepped = replace(lattice, nodes=len(live) * n)
             step(state, stepped)

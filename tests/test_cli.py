@@ -1179,6 +1179,40 @@ def test_compare_of_a_zero_step_run_is_at_time_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["time"] == 0.0
 
 
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["q5", "q7", "q11", "q21"]),  # the models stable here
+       expansion=st.sampled_from([("hermite", "3"), ("taylor", "3")]),
+       rho_bar=st.sampled_from(["1.5", "2", "3"]), nodes=st.integers(1000, 1500),
+       share=st.floats(0.45, 0.55))
+@example(name="q7", expansion=("taylor", "3"), rho_bar="3", nodes=1000, share=0.5)
+def test_a_mirrored_run_compares_equal_bit_for_bit(tmp_path_factory, name, expansion,
+                                                   rho_bar, nodes, share):
+    # the right run with interface nodes - i is the left run with interface i
+    # mirrored, x -> nodes - 1 - x; the exact solution mirrors with it
+    interface = round(share * nodes)
+    tmp = tmp_path_factory.mktemp("mirror")
+    kind, order = expansion
+    compared = {}
+    for side, cut in (("left", interface), ("right", nodes - interface)):
+        csv_path, manifest, out = (tmp / f"{side}.{ext}" for ext in ("csv", "json", "out"))
+        assert main(["simulate", "--model", name, "--kind", kind, "--order", order,
+                     "--rho-bar", rho_bar, "--nodes", str(nodes), "--interface", str(cut),
+                     "--high-side", side, "--steps", "60", "--csv", str(csv_path),
+                     "--manifest", str(manifest)]) == EXIT_OK
+        assert main(["compare", "--sim", str(csv_path), "--manifest", str(manifest),
+                     "--out", str(out)]) == EXIT_OK
+        compared[side] = load_json(out)
+    left, right = compared["left"], compared["right"]
+    assert left["fields"] == right["fields"]
+    for tag, other in (("low", "high"), ("high", "low")):
+        for field in ("rho", "u", "theta", "p"):
+            sign = -1.0 if field == "u" else 1.0
+            got, want = right["plateaus"][tag][field], left["plateaus"][other][field]
+            assert got["diff"] == want["diff"], (tag, field)
+            assert got["sim"] == sign * want["sim"], (tag, field)
+            assert got["exact"] == sign * want["exact"], (tag, field)
+
+
 # --------------------------------------------------------- stability-scan
 
 

@@ -138,17 +138,17 @@ SIMULATOR_CASES = {
     "compare": (
         COMPARE, EXIT_OK,
         {"stdout": EMPTY,
-         "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
+         "c.json": "71357eaf3bcf8d39bbc08bd458d05043288adb0c494658c8bc3e6c4cf6abe63d"}),
     # the same compare on hand-edited copies of the snapshot, which no longer
     # match the manifest's output_sha256 (a warning on stderr only)
     "compare-crlf": (
         COMPARE, EXIT_OK,
         {"stdout": EMPTY,
-         "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
+         "c.json": "71357eaf3bcf8d39bbc08bd458d05043288adb0c494658c8bc3e6c4cf6abe63d"}),
     "compare-no-final-newline": (
         COMPARE, EXIT_OK,
         {"stdout": EMPTY,
-         "c.json": "84642c252ff9ce7dcb083ddfbc112b5d80c2d74efeb09df4fad9895132e41a14"}),
+         "c.json": "71357eaf3bcf8d39bbc08bd458d05043288adb0c494658c8bc3e6c4cf6abe63d"}),
     "stability-scan": (
         ["stability-scan", "--models", "q5,q7", "--expansions", "hermite:3,taylor:3",
          "--rho-bars", "3,11", "--taus", "1,0.8", "--nodes", "400"], EXIT_OK,

@@ -59,24 +59,23 @@ def swap_pairs(f):
 def random_state(config, draw):
     rho, u, theta, noise = draw
     state = init_shock_tube(config)
-    state.f[...] = state.kernel.eq.populations(rho, u, theta) * (1.0 + noise)
-    state.kernel.macro_into(state.f, state.rho, state.u, state.theta)
+    state.f[...] = state.eq.populations(rho, u, theta) * (1.0 + noise)
+    state.macro_into(state.f, state.rho, state.u, state.theta)
     return state
 
 
 def reference_step(state, config):
     """New (f, rho, u, theta) by the update rule, leaving state untouched."""
-    kernel = state.kernel
     omega = 1.0 / config.tau
-    feq = kernel.eq.populations(state.rho, state.u, state.theta)
+    feq = state.eq.populations(state.rho, state.u, state.theta)
     f = (1.0 - omega) * state.f + omega * feq
-    for i, hop in enumerate(kernel.hops):
+    for i, hop in enumerate(state.hops):
         f[i] = np.roll(f[i], hop)
     b = config.band_width
-    f[:, :b] = kernel.left_band
-    f[:, -b:] = kernel.right_band
+    f[:, :b] = state.left_band
+    f[:, -b:] = state.right_band
     rho, u, theta = np.empty(NODES), np.empty(NODES), np.empty(NODES)
-    kernel.macro_into(f, rho, u, theta)
+    state.macro_into(f, rho, u, theta)
     return f, rho, u, theta
 
 
@@ -85,7 +84,7 @@ def reference_step(state, config):
        nodes=st.tuples(fields(16, 0.05, 20.0), fields(16, -1.0, 1.0),
                        fields(16, 0.05, 4.0)))
 def test_negating_u_swaps_every_population_pair(name, spec, nodes):
-    eq = init_shock_tube(ShockTubeConfig(model=model(name), expansion=spec)).kernel.eq
+    eq = init_shock_tube(ShockTubeConfig(model=model(name), expansion=spec)).eq
     rho, u, theta = nodes
     assert np.array_equal(eq.populations(rho, -u, theta),
                           swap_pairs(eq.populations(rho, u, theta)))
@@ -115,8 +114,8 @@ def test_collision_conserves_mass_momentum_and_energy(name, spec, draw):
     state = random_state(config, draw)
     v = m.velocities()[:, None]
     before = state.f.copy()
-    after = state.kernel.collide(state)
-    feq = state.kernel.eq.populations(state.rho, state.u, state.theta)
+    after = state.collide()
+    feq = state.eq.populations(state.rho, state.u, state.theta)
     for power in (0, 1, 2):
         weight = v ** power
         scale = (np.abs(weight * before) + np.abs(weight * feq)).sum(axis=0)
@@ -134,7 +133,7 @@ def test_one_step_of_a_mirrored_state_is_the_exact_mirror(name, spec, tau, draw)
     state = random_state(config, draw)
     mirrored = init_shock_tube(mirrored_config)
     mirrored.f[...] = swap_pairs(state.f)[:, ::-1]
-    mirrored.kernel.macro_into(mirrored.f, mirrored.rho, mirrored.u, mirrored.theta)
+    mirrored.macro_into(mirrored.f, mirrored.rho, mirrored.u, mirrored.theta)
     step(state, config)
     step(mirrored, mirrored_config)
     for got, want in ((mirrored.f, swap_pairs(state.f)[:, ::-1]),
@@ -153,11 +152,10 @@ NUMPY_BUFFER = 8192  # numpy's default ufunc buffer size, in elements
 
 def kernel_calls(state, config):
     """step's body, called directly at the caller's ufunc buffer size."""
-    kernel = state.kernel
-    kernel.stream(kernel.collide(state), kernel.spare)
-    state.f, kernel.spare = kernel.spare, state.f
+    state.stream(state.collide(), state.spare)
+    state.f, state.spare = state.spare, state.f
     apply_boundaries(state, config)
-    kernel.macro_into(state.f, state.rho, state.u, state.theta)
+    state.macro_into(state.f, state.rho, state.u, state.theta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,8 +182,8 @@ def test_step_gives_the_bits_of_its_kernel_calls_at_numpys_buffer(name, spec, no
     noise = rng.uniform(-0.05, 0.05, (m.q, n))
     got, want = (init_shock_tube(*configs) for _ in range(2))
     for state in (got, want):
-        state.f[...] = state.kernel.eq.populations(rho, u, theta) * (1.0 + noise)
-        state.kernel.macro_into(state.f, state.rho, state.u, state.theta)
+        state.f[...] = state.eq.populations(rho, u, theta) * (1.0 + noise)
+        state.macro_into(state.f, state.rho, state.u, state.theta)
     assert np.getbufsize() == NUMPY_BUFFER != simulator._UFUNC_BUFFER
     for _ in range(2):  # the second step works in the swapped buffers
         step(got, lattice)
@@ -204,15 +202,15 @@ def test_the_tau_one_tubes_of_a_mixed_lattice_take_the_equilibrium_bitwise(taus)
                               for tau in taus))
     while taus:  # then again with the first tube cut out of the lattice
         state.f[3] = np.inf
-        feq = state.kernel.eq.populations(state.rho, state.u, state.theta)
+        feq = state.eq.populations(state.rho, state.u, state.theta)
         with np.errstate(invalid="ignore"):
-            post = state.kernel.collide(state).reshape(q, len(taus), n)
+            post = state.collide().reshape(q, len(taus), n)
         for i, tau in enumerate(taus):
             if tau == 1.0:
                 assert bits(post[:, i]) == bits(feq.reshape(q, len(taus), n)[:, i])
             else:
                 assert not np.isfinite(post[3, i]).any()
-        state.kernel.keep(state, np.arange(len(taus)) > 0)
+        state.keep(np.arange(len(taus)) > 0)
         taus = taus[1:]
 
 
@@ -241,7 +239,7 @@ def test_the_callers_ufunc_buffer_survives_runs_scans_and_a_failed_step(
         raise RuntimeError("moments failed")
 
     state = init_shock_tube(config)
-    monkeypatch.setattr(simulator._Kernel, "macro_into", fail)
+    monkeypatch.setattr(simulator.LatticeState, "macro_into", fail)
     with pytest.raises(RuntimeError, match="moments failed"):
         step(state, config)
     assert seen == [simulator._UFUNC_BUFFER]

@@ -50,9 +50,8 @@ HE3 = ExpansionSpec("hermite", 3)
 def test_initial_state_is_two_resting_equilibria(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
-    kernel = state.kernel
-    dense = kernel.eq.populations(*np.array([[3.0], [0.0], [1.0]]))[:, 0]
-    dilute = kernel.eq.populations(*np.array([[1.0], [0.0], [1.0]]))[:, 0]
+    dense = state.eq.populations(*np.array([[3.0], [0.0], [1.0]]))[:, 0]
+    dilute = state.eq.populations(*np.array([[1.0], [0.0], [1.0]]))[:, 0]
     assert np.array_equal(state.f[:, :500], np.broadcast_to(dense[:, None], (q5.q, 500)))
     assert np.array_equal(state.f[:, 500:], np.broadcast_to(dilute[:, None], (q5.q, 500)))
     assert np.abs(state.rho[:500] - 3.0).max() < 1e-12
@@ -84,13 +83,12 @@ def test_probes_mirror_with_the_dense_side(q5):
 def test_boundary_bands_stay_pinned(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
-    kernel = state.kernel
     for _ in range(12):
         step(state, config)
     b = config.band_width
     assert b == 3  # largest single-step hop of the (1, 3) model
-    dense = kernel.eq.populations(*np.array([[3.0], [0.0], [1.0]]))[:, 0]
-    dilute = kernel.eq.populations(*np.array([[1.0], [0.0], [1.0]]))[:, 0]
+    dense = state.eq.populations(*np.array([[3.0], [0.0], [1.0]]))[:, 0]
+    dilute = state.eq.populations(*np.array([[1.0], [0.0], [1.0]]))[:, 0]
     assert np.array_equal(state.f[:, :b], np.broadcast_to(dense[:, None], (q5.q, b)))
     assert np.array_equal(state.f[:, -b:], np.broadcast_to(dilute[:, None], (q5.q, b)))
     assert state.step_count == 12
@@ -159,11 +157,10 @@ def test_uniform_state_is_a_fixed_point(q5):
 def test_unit_tau_collision_replaces_f_by_equilibrium(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
-    kernel = state.kernel
     for _ in range(3):
         step(state, config)
-    expected = kernel.eq.populations(state.rho, state.u, state.theta)
-    assert np.array_equal(kernel.collide(state), expected)
+    expected = state.eq.populations(state.rho, state.u, state.theta)
+    assert np.array_equal(state.collide(), expected)
 
 
 def test_collision_conserves_node_moments(q5):
@@ -171,14 +168,13 @@ def test_collision_conserves_node_moments(q5):
     # same mass, momentum and energy, so the node moments cannot move
     config = ShockTubeConfig(model=q5, expansion=TE2, tau=0.7)
     state = init_shock_tube(config)
-    kernel = state.kernel
     for _ in range(10):
         step(state, config)
     v = q5.velocities()
     f0 = state.f.copy()
     moments0 = [f0.sum(axis=0), (v[:, None] * f0).sum(axis=0),
                 (v[:, None] ** 2 * f0).sum(axis=0)]
-    f1 = kernel.collide(state)
+    f1 = state.collide()
     moments1 = [f1.sum(axis=0), (v[:, None] * f1).sum(axis=0),
                 (v[:, None] ** 2 * f1).sum(axis=0)]
     for before, after in zip(moments0, moments1):
@@ -191,20 +187,19 @@ def test_streaming_budget_over_an_interior_window(q5):
     per-species edge fluxes, with every sum taken by fsum."""
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
-    kernel = state.kernel
     for _ in range(5):
         step(state, config)
     # tau = 1: the post-collision field is exactly the equilibrium of
     # the current macro fields, so we can reconstruct it bitwise
-    post = kernel.eq.populations(state.rho, state.u, state.theta)
+    post = state.eq.populations(state.rho, state.u, state.theta)
     a, b = 300, 700
     before = math.fsum(post[:, a:b].ravel())
     step(state, config)
-    for i, h in enumerate(kernel.hops):
+    for i, h in enumerate(state.hops):
         assert np.array_equal(state.f[i, a:b], post[i, a - h:b - h])
     after = math.fsum(state.f[:, a:b].ravel())
     flux = 0.0
-    for i, h in enumerate(kernel.hops):
+    for i, h in enumerate(state.hops):
         if h > 0:
             flux += math.fsum(post[i, a - h:a]) - math.fsum(post[i, b - h:b])
         elif h < 0:
@@ -217,7 +212,7 @@ def test_one_step_influence_radius_is_the_largest_hop(q5):
     reference = init_shock_tube(config)
     poked = init_shock_tube(config)
     poked.f[:, 500] *= 1.01
-    poked.kernel.macro_into(poked.f, poked.rho, poked.u, poked.theta)
+    poked.macro_into(poked.f, poked.rho, poked.u, poked.theta)
     step(reference, config)
     step(poked, config)
     changed = np.where((reference.f != poked.f).any(axis=0))[0]
