@@ -41,28 +41,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EXPECTATION = 3
 
-WORKERS_ENV_VAR = "THERMOLB_WORKERS"
-
-
-def worker_count(explicit: int | None = None) -> int:
-    """The worker count from --workers, else THERMOLB_WORKERS, else 1,
-    checked to be >= 1.  stability-scan steps its groups on up to this
-    many forked processes; a simulate run is one tube on one core whatever
-    the count."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"worker count must be >= 1, got {explicit}")
-        return explicit
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {n}")
-    return n
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -113,16 +91,8 @@ def _write_all(outputs: list[tuple[str | None, str]]) -> None:
             sys.stdout.write(text)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    _write_all([(path, text)])
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_json(path: str | None, payload) -> None:
-    _write_text(path, _json_text(payload))
 
 
 def _csv_lines(header: list[str], rows) -> str:
@@ -148,6 +118,17 @@ def _threshold(text: str) -> float:
         value = math.nan
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return value
+
+
+def _workers(text: str) -> int:
+    """argparse type of --workers: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
     return value
 
 
@@ -254,7 +235,7 @@ def cmd_derive(args) -> int:
                 f"got {len(ratios_ext)}")
     models = solve_model(RatioTuple.from_ratios(ratios_ext),
                          ghost_threshold=args.ghost_threshold)
-    _emit_json(args.out, [m.to_json_dict() for m in models])
+    _write_all([(args.out, _json_text([m.to_json_dict() for m in models]))])
     return EXIT_OK
 
 
@@ -335,9 +316,9 @@ def cmd_expand(args) -> int:
         raise ValueError(f"bad --theta0 {args.theta0!r}: {exc}") from exc
     poly = expand(spec)
     rows = [list(r) + [spec.kind, spec.order] for r in poly.table_rows()]
-    _write_text(args.out, _csv_lines(
+    _write_all([(args.out, _csv_lines(
         ["v_power", "u_power", "t_power", "numerator", "denominator", "kind", "N"],
-        rows))
+        rows))])
     return EXIT_OK
 
 
@@ -356,7 +337,7 @@ def cmd_verify(args) -> int:
         "passed": report.passed,
         "checks": len(report.checks),
     }
-    _emit_json(args.out, payload)
+    _write_all([(args.out, _json_text(payload))])
     if not report.passed:
         print(f"expectation violated: max moment error {report.max_abs_error} "
               f"exceeds tolerance {report.tolerance}", file=sys.stderr)
@@ -656,7 +637,7 @@ def cmd_compare(args) -> int:
         for i, tag in enumerate(("low", "high"))}
     payload = {"fields": fields, "plateaus": plateau,
                "time": float(steps), "nodes": nodes}
-    _emit_json(args.out, payload)
+    _write_all([(args.out, _json_text(payload))])
     if args.max_plateau_diff is not None:
         # np.max, unlike max(), returns NaN whenever any diff is NaN
         worst = float(np.max([plateau[tag][name]["diff"]
@@ -688,13 +669,13 @@ def cmd_stability_scan(args) -> int:
     rho_bars = [float(t) for t in rho_texts]
     taus = [float(t) for t in tau_texts]
     entries = stability_scan(models, specs, rho_bars, taus, steps=args.steps,
-                             nodes=args.nodes, workers=worker_count(args.workers))
+                             nodes=args.nodes, workers=args.workers)
     rows = [[e.model_name, e.expansion, e.rho_bar, e.tau, int(e.stable),
              e.failure_step if e.failure_step is not None else -1,
              e.failure_mode or "", e.fluctuation, e.steps] for e in entries]
-    _write_text(args.out, _csv_lines(
+    _write_all([(args.out, _csv_lines(
         ["model", "expansion", "rho_bar", "tau", "stable", "failure_step",
-         "failure_mode", "fluctuation", "steps"], rows))
+         "failure_mode", "fluctuation", "steps"], rows))])
     return EXIT_OK
 
 
@@ -715,7 +696,7 @@ def cmd_catalog(args) -> int:
             item["model"] = model.to_json_dict()
             item["v2_error"] = abs(model.v2 - entry.v2_reference)
         payload.append(item)
-    _emit_json(args.out, payload)
+    _write_all([(args.out, _json_text(payload))])
     return EXIT_OK
 
 
@@ -781,9 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help="default: shock crosses 35%% of the lattice")
     p.add_argument("--snapshot-interval", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="checked to be >= 1 (default: THERMOLB_WORKERS or 1); "
-                        "the run uses one core whatever the value")
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="checked to be >= 1; the run uses one core whatever "
+                        "the value")
     p.add_argument("--csv", default=None, help="final snapshot CSV path")
     p.add_argument("--manifest", default=None, help="run manifest JSON path")
     p.add_argument("--expect-stable", action="store_true")
@@ -818,10 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", default="1.0")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=1,
                    help="processes that step the scan's (model, expansion) "
-                        "groups, >= 1 (default: THERMOLB_WORKERS or 1); the "
-                        "output is the same for any count")
+                        "groups, >= 1; the output is the same for any count")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("catalog", help="list built-in models")
@@ -834,8 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(args, "workers"):  # simulate and stability-scan
-            worker_count(args.workers)
         # looked up when called, not bound in the cached parser, so that a
         # wrapper set on this module's cmd_* (a tracer, a test) is what runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)

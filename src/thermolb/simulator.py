@@ -341,11 +341,15 @@ def default_step_count(config: ShockTubeConfig) -> int:
 def density_fluctuation(rho: np.ndarray, margin: int) -> float:
     """Mean squared second difference of the density over the interior;
     a flat or piecewise-smooth profile scores near zero, node-scale
-    oscillation scores large (inf, quietly, past densities ~1e154)."""
+    oscillation scores large (inf, quietly, past densities ~1e154).  The
+    score of a reversed profile is the same to the bit: the difference
+    adds the two outer nodes first, and the mean is taken over the squares
+    plus their reversal, which is a palindrome."""
     core = rho[margin:len(rho) - margin]
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = core[2:] - 2.0 * core[1:-1] + core[:-2]
-        return float(np.mean(d2 * d2))
+        d2 = (core[2:] + core[:-2]) - 2.0 * core[1:-1]
+        sq = d2 * d2
+        return float(np.mean(sq + sq[::-1]) * 0.5)
 
 
 def check_health(state: LatticeState, max_speed: float) -> list[str | None]:

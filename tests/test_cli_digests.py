@@ -84,27 +84,27 @@ SIMULATOR_CASES = {
         Q7_TAYLOR3, EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "89af5819ef1200dfb2b1c07ea245ddf65e4d4b2969040dfabfa793f098b20f0e",
-         "m.json": "122ca390b478712207a2b62128316d8f1a564ec0662b6391f51ec145d53d18a0"}),
+         "m.json": "1a28e254475d84749a1817e6608ee2901fda14884feab384ebf61b50048c4787"}),
     "simulate-q5-hermite3-right": (
         Q5_HERMITE3 + ["--high-side", "right"], EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "818e04df9dda5cd8778c01094a8ca0548f687e46fb5a22802d327b13ab9ceb65",
-         "m.json": "0b3d25c3052eebf4593d0b4adc2d65663517c646a0ee4b79d439ecc346a9c6f3"}),
+         "m.json": "54929a7b5bc39c6fb1f3a72151d4d417ebe64aa2e521225e24e52b42b8f763aa"}),
     "simulate-q7-taylor3-tau08": (
         Q7_TAYLOR3 + ["--tau", "0.8", "--steps", "150"], EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "5118edd748b972bbfc6dbacdb1013eb0e78700cd2046aa9230da6598022bc451",
-         "m.json": "341f647da2f628c146b98a558dd8e8701ede99cd48a1eac6aa0284a09e8ef65d"}),
+         "m.json": "bfa31edad8ad8bf295ac215ce9ef24bba78aa2a8246428206102fe7811d38178"}),
     "simulate-shortened": (
         Q7_TAYLOR3 + LONG_TUBE + ["--snapshot-interval", "10"], EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "ed8f104c8d1c96c52ba03c757e923113bf26cb4a70e6ed730b72c1df1fa77c71",
-         "m.json": "f428dff58684bd57fe4d773972727c16b3618785f3c11e558f0d9266c24f189f"}),
+         "m.json": "cc7adfcb33d1a9586dcbd2b39c1e48e1edfdfd956eca0d54a6f82c6b3c9f2a6b"}),
     "simulate-shortened-right-tau06": (
         Q7_TAYLOR3 + LONG_TUBE + ["--high-side", "right", "--tau", "0.6"], EXIT_OK,
         {"stdout": EMPTY,
          "s.csv": "0926a98084ac4b3c428f739a63585469c1de565edc039114bccee2e4f5256ff7",
-         "m.json": "35512840677b36e4b1ac0639598c9409d93236b2b1c777789dc60fe8488ca0d3"}),
+         "m.json": "80d92be12216d22ba0f40f497f0facc0a6eb627ab8bd0e3bf584b1eb8141d24a"}),
     "simulate-unstable": (
         Q5_HERMITE3 + ["--rho-bar", "11", "--allow-unstable"], EXIT_OK,
         {"stdout": EMPTY,
@@ -153,7 +153,7 @@ SIMULATOR_CASES = {
         ["stability-scan", "--models", "q5,q7", "--expansions", "hermite:3,taylor:3",
          "--rho-bars", "3,11", "--taus", "1,0.8", "--nodes", "400"], EXIT_OK,
         {"stdout":
-         "adcac7e444380f58ff06b8596afc865058dac5b621e33f5a433b2bba002e7623"}),
+         "808dc77154f99df99c57cc3c9778a71dbcc796acc0807f563297a4b539013a16"}),
     # two scans, each group mixing tau 1 and 0.8 and stable and failing rows:
     # cut.csv steps 30 steps on light cones cut from 20000 nodes; scan.csv
     # takes the default horizons, which differ by density, fails by density
@@ -162,8 +162,8 @@ SIMULATOR_CASES = {
         SCAN_GROUPS + ["q5,q21", "--expansions", "taylor:5", "--nodes", "1000",
                        "--out", "scan.csv"], EXIT_OK,
         {"stdout": EMPTY,
-         "cut.csv": "ac7053d6010300c8a7504832425efd31cbc2beda0943ba98eec55c0374efeffe",
-         "scan.csv": "a612bf5fe4f66b07f32d6ac7e9a5aad7555020c97faa5d026e6b017d1cccf2f7"}),
+         "cut.csv": "956e6a6417298bf4cd92869c8b78b8443d8d102cdc00daa329f80609dd4d88ea",
+         "scan.csv": "43682c300b0a2320179091b15fbf9a06c6a195651c9e7d6870f3b2f0645bce20"}),
 }
 
 

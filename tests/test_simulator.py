@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from thermolb import resolve_catalog, simulator
-from thermolb.cli import EXIT_OK, WORKERS_ENV_VAR, main, worker_count
+from thermolb.cli import EXIT_OK, main
 from thermolb.equilibrium import ExpansionSpec
 from thermolb.simulator import (
     ShockTubeConfig,
@@ -234,10 +234,9 @@ def test_mirror_configurations_give_bitwise_mirror_fields(q5):
     assert np.array_equal(high.u, -low.u[::-1])
 
 
-def test_worker_count_does_not_change_any_bit(tmp_path, monkeypatch):
+def test_worker_count_does_not_change_any_bit(tmp_path):
     # the groups run on forked processes with --workers 2, and the rows,
     # their order and every float in them match the serial scan
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
     out = {}
     for workers in ("1", "2"):
         out[workers] = tmp_path / f"scan{workers}.csv"
@@ -353,9 +352,7 @@ def test_serial_scan_never_imports_multiprocessing(tmp_path):
             f"'hermite:3', '--rho-bars', '3', '--steps', '5', '--nodes', '200', "
             f"'--out', {str(tmp_path / 'scan.csv')!r}]); "
             "print(code, 'multiprocessing' in sys.modules)")
-    env = {k: v for k, v in os.environ.items() if k != WORKERS_ENV_VAR}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.stdout.split(), proc.stderr) == (["0", "False"], "")
 
 
@@ -365,22 +362,6 @@ def test_scan_rejects_bad_worker_counts_before_any_compute(q5, monkeypatch, work
     monkeypatch.setattr(simulator, "default_step_count", no_pool)
     with pytest.raises(ValueError, match="worker count"):
         stability_scan([("q5", q5)], [HE3], [3.0], workers=workers)
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-    assert worker_count() == 4
-    assert worker_count(2) == 2  # explicit beats the environment
-    monkeypatch.setenv(WORKERS_ENV_VAR, "many")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    with pytest.raises(ValueError):
-        worker_count(0)
 
 
 # ---------------------------------------------------------- diagnostics
@@ -405,6 +386,17 @@ def test_density_fluctuation_scores():
     spiked = np.ones(60)
     spiked[2] = 7.0  # inside the margin, must be ignored
     assert density_fluctuation(spiked, margin=4) == 0.0
+
+
+def test_density_fluctuation_is_the_same_on_a_reversed_profile():
+    # a mirrored run's snapshot is the reversed density, and its verdict
+    # must keep every bit of the score
+    rng = np.random.default_rng(7)
+    for n in (13, 60, 1001, 4096):
+        rho = 1.0 + rng.random(n)
+        forward = density_fluctuation(rho, margin=4)
+        assert forward > 0.0
+        assert density_fluctuation(rho[::-1], margin=4).hex() == forward.hex(), n
 
 
 def _toy_state(model, f, rho, u):
