@@ -98,15 +98,8 @@ def _json_text(payload) -> str:
 def _csv_lines(header: list[str], rows) -> str:
     out = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, float):
-                cells.append(_fmt(cell))
-            else:
-                cells.append(str(cell))
-        out.append(",".join(cells))
+        out.append(",".join(_fmt(cell) if isinstance(cell, float) else str(cell)
+                            for cell in row))
     return "\n".join(out) + "\n"
 
 
@@ -722,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of velocities (odd, >= 3); implies ratio count")
     p.add_argument("--ratios", default="",
                    help="comma list of speed ratios beyond the base (e.g. 2,3)")
-    p.add_argument("--ghost-threshold", type=_threshold, default=1e-4)
+    p.add_argument("--ghost-threshold", type=_threshold, default=1e-4,
+                   help="flag weights with |w| below this as ghosts (default 1e-4)")
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
 
     p = sub.add_parser("sweep", help="sweep one free ratio over a grid")
@@ -733,81 +727,100 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid values are inverse ratios r = 1/pbar")
     p.add_argument("--residual-grid", default=None,
                    help="also dump polynomial residuals over v2 range lo:hi:n")
-    p.add_argument("--residual-out", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--residual-out", default=None, help="residual CSV path (required "
+                   "with --residual-grid)")
+    p.add_argument("--out", default=None, help="sweep CSV path (default stdout)")
 
+    kind_help = "taylor (te) or hermite (he)"
+    order_help = "expansion order N >= 1 (taylor: a + b <= N, hermite: a + 2b <= N)"
     p = sub.add_parser("expand", help="dump an equilibrium expansion table")
-    p.add_argument("--kind", required=True, help="taylor or hermite")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--theta0", default="1")
-    p.add_argument("--out", default=None)
+    p.add_argument("--kind", required=True, help=kind_help)
+    p.add_argument("--order", type=int, required=True, help=order_help)
+    p.add_argument("--theta0", default="1",
+                   help="base temperature, a positive rational (default 1)")
+    p.add_argument("--out", default=None, help="term table CSV path (default stdout)")
 
     p = sub.add_parser("verify", help="check guaranteed moments of a model+expansion")
     p.add_argument("--model", required=True, help="catalog name or model JSON path")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--kind", required=True, help=kind_help)
+    p.add_argument("--order", type=int, required=True, help=order_help)
     p.add_argument("--tolerance", type=_threshold, default=1e-10,
                    help="each moment passes within this times max(1, |exact moment|)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="report JSON path (default stdout)")
 
     p = sub.add_parser("simulate", help="run a shock tube")
-    p.add_argument("--model", required=True)
-    p.add_argument("--kind", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--rho-bar", type=float, default=3.0)
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--interface", type=int, default=500)
-    p.add_argument("--high-side", choices=["left", "right"], default="left")
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--model", required=True, help="catalog name or model JSON path")
+    p.add_argument("--kind", required=True, help=kind_help)
+    p.add_argument("--order", type=int, required=True, help=order_help)
+    p.add_argument("--rho-bar", type=float, default=3.0,
+                   help="dense-state density; the dilute one is 1 (default 3)")
+    p.add_argument("--nodes", type=int, default=1000,
+                   help="lattice nodes, v2 / p_1 apart (default 1000)")
+    p.add_argument("--interface", type=int, default=500,
+                   help="first node of the right state (default 500)")
+    p.add_argument("--high-side", choices=["left", "right"], default="left",
+                   help="side that holds the dense state (default left)")
+    p.add_argument("--tau", type=float, default=1.0,
+                   help="relaxation time in steps, >= 0.5 (default 1)")
     p.add_argument("--steps", type=int, default=None,
-                   help="default: shock crosses 35%% of the lattice")
-    p.add_argument("--snapshot-interval", type=int, default=None)
+                   help="lattice time steps (default: shock crosses 35%% of the lattice)")
+    p.add_argument("--snapshot-interval", type=int, default=None,
+                   help="also score every this many steps (default: the last step only)")
     p.add_argument("--workers", type=_workers, default=1,
                    help="checked to be >= 1; the run uses one core whatever "
                         "the value")
     p.add_argument("--csv", default=None, help="final snapshot CSV path")
     p.add_argument("--manifest", default=None, help="run manifest JSON path")
-    p.add_argument("--expect-stable", action="store_true")
+    p.add_argument("--expect-stable", action="store_true",
+                   help="exit 3, not 2, if the run goes unstable")
     p.add_argument("--allow-unstable", action="store_true",
                    help="exit 0 even if the run goes unstable")
 
     p = sub.add_parser("riemann", help="solve a reference Riemann problem")
     p.add_argument("--left", required=True, help="rho,u,theta")
     p.add_argument("--right", required=True, help="rho,u,theta")
-    p.add_argument("--gamma", type=float, default=3.0)
-    p.add_argument("--time", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--interface", type=int, default=500)
-    p.add_argument("--dx", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=3.0, help="adiabatic index (default 3)")
+    p.add_argument("--time", type=float, default=None,
+                   help="sample time of --csv, in lattice steps when --dx is a run's dx")
+    p.add_argument("--nodes", type=int, default=1000,
+                   help="nodes of the --csv profile (default 1000)")
+    p.add_argument("--interface", type=int, default=500,
+                   help="node at x = 0, the initial jump (default 500)")
+    p.add_argument("--dx", type=float, default=1.0,
+                   help="node spacing of the --csv profile (default 1)")
     p.add_argument("--csv", default=None, help="sampled profile CSV path")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="solution JSON path (default stdout)")
 
     p = sub.add_parser("compare", help="compare a run against the exact solution")
     p.add_argument("--sim", required=True, help="snapshot CSV from simulate")
-    p.add_argument("--manifest", required=True, help="manifest JSON from simulate")
+    p.add_argument("--manifest", required=True, help="manifest JSON from simulate; the "
+                   "exact jump sits at node interface - 0.5")
     p.add_argument("--probe-low", type=int, help="default: the run's low probe node")
     p.add_argument("--probe-high", type=int, help="default: the run's high probe node")
     p.add_argument("--max-plateau-diff", type=_threshold, default=None,
                    help="exit 3 if any plateau field differs by more")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="comparison JSON path (default stdout)")
 
     p = sub.add_parser("stability-scan", help="stability verdicts over a grid")
     p.add_argument("--models", required=True, help="comma list of model refs")
     p.add_argument("--expansions", required=True,
                    help="comma list of kind:order labels")
     p.add_argument("--rho-bars", required=True, help="comma list of densities")
-    p.add_argument("--taus", default="1.0")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--nodes", type=int, default=1000)
+    p.add_argument("--taus", default="1.0",
+                   help="comma list of relaxation times in steps (default 1.0)")
+    p.add_argument("--steps", type=int, default=None,
+                   help="lattice time steps (default: each row's own, as simulate's)")
+    p.add_argument("--nodes", type=int, default=1000,
+                   help="lattice nodes, the interface at nodes // 2 (default 1000)")
     p.add_argument("--workers", type=_workers, default=1,
                    help="processes that step the scan's (model, expansion) "
                         "groups, >= 1; the output is the same for any count")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="verdict CSV path (default stdout)")
 
     p = sub.add_parser("catalog", help="list built-in models")
     p.add_argument("--regenerate", action="store_true",
                    help="re-derive each model and report the deviation")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="catalog JSON path (default stdout)")
     return parser
 
 

@@ -199,13 +199,13 @@ class LatticeState:
         self.left_band = band([c.left_state for c in configs])
         self.right_band = band([c.right_state for c in configs])
         self.omega = np.array([1.0 / c.tau for c in configs])
-        self._resize()
         # equilibrium initialization: each tube's two resting states
         q, cut = len(self.hops), first.interface
         f = np.empty((q, self.tubes, self.nodes))
         f[:, :, :cut] = self.left_band[:, :, None]
         f[:, :, cut:] = self.right_band[:, :, None]
         self.f = f.reshape(q, -1)  # populations, tube after tube
+        self.feq, self.spare = np.empty_like(self.f), np.empty_like(self.f)
         self.rho, self.u, self.theta = (np.empty(self.f.shape[1]) for _ in range(3))
         self.macro_into(self.f, self.rho, self.u, self.theta)
         self.step_count = 0
@@ -214,26 +214,18 @@ class LatticeState:
     def tubes(self) -> int:
         return len(self.omega)
 
-    def _resize(self) -> None:
-        """Per-node relaxation factors and work buffers for the tubes kept."""
-        omega = np.repeat(self.omega, self.nodes)
-        unit = np.flatnonzero(self.omega == 1.0).tolist()  # the tau = 1 tubes
-        self.relax = None if len(unit) == self.tubes else (1.0 - omega, omega, unit)
-        self.feq = np.empty((len(self.hops), omega.size))
-        self.spare = np.empty_like(self.feq)
-
     def keep(self, kept: np.ndarray) -> None:
         """Cut every tube whose entry in the boolean kept is False out of
-        the fields and the tables."""
+        the fields, the tables and the work buffers."""
         def cut(a: np.ndarray) -> np.ndarray:
             lead = a.shape[:-1]
             return a.reshape(*lead, self.tubes, self.nodes)[..., kept, :].reshape(*lead, -1)
 
-        self.f, self.rho, self.u, self.theta = map(cut, (self.f, self.rho, self.u, self.theta))
+        self.f, self.feq, self.spare, self.rho, self.u, self.theta = map(
+            cut, (self.f, self.feq, self.spare, self.rho, self.u, self.theta))
         self.left_band = self.left_band[:, kept]
         self.right_band = self.right_band[:, kept]
         self.omega = self.omega[kept]
-        self._resize()
 
     def macro_into(self, f: np.ndarray, rho: np.ndarray, u: np.ndarray,
                    theta: np.ndarray) -> None:
@@ -259,21 +251,18 @@ class LatticeState:
         theta[:] = th
 
     def collide(self) -> np.ndarray:
-        """Post-collision populations.  A tube with tau = 1 takes the
-        equilibrium itself, which is what (1 - 1) * f + 1 * feq equals for
-        finite f up to the sign of a zero.  Unless every tube has tau = 1,
-        f is relaxed in place, the tau = 1 tubes overwritten by feq, and
-        returned."""
+        """Post-collision populations: each tube relaxed by its own omega,
+        (1 - omega) * f + omega * feq, in place in f.  When every tube has
+        tau = 1 that is feq itself, returned without the three passes.  A
+        tau = 1 tube of a mixed lattice gets feq's bits as well, since f
+        is finite and feq holds no -0.0 (README, Determinism)."""
         feq = self.eq.populations(self.rho, self.u, self.theta, out=self.feq)
-        if self.relax is None:
+        if (self.omega == 1.0).all():
             return feq
-        decay, omega, unit = self.relax
-        self.f *= decay
-        feq *= omega
-        self.f += feq
         f, e = (a.reshape(len(self.hops), self.tubes, self.nodes) for a in (self.f, feq))
-        for i in unit:  # one block copy per tube
-            f[:, i] = e[:, i]
+        f *= (1.0 - self.omega)[:, None]
+        e *= self.omega[:, None]
+        f += e
         return self.f
 
     def stream(self, post: np.ndarray, dst: np.ndarray) -> None:
@@ -326,16 +315,10 @@ def step(state: LatticeState, config: ShockTubeConfig) -> LatticeState:
 def default_step_count(config: ShockTubeConfig) -> int:
     """Horizon chosen so the shock front crosses ~35% of the lattice
     (staying clear of the far boundary band), computed from the exact
-    Riemann shock speed.  Falls back to 200 steps for waveless setups."""
-    try:
-        sol = solve_riemann(config.left_state, config.right_state)
-    except ValueError:
-        return 200
+    Riemann shock speed."""
+    sol = solve_riemann(config.left_state, config.right_state)
     wave = sol.right_wave if config.high_side == "left" else sol.left_wave
-    speed = abs(wave.head)
-    if speed < 1e-12:
-        return 200
-    return max(1, round(0.35 * config.nodes * config.dx / speed))
+    return max(1, round(0.35 * config.nodes * config.dx / abs(wave.head)))
 
 
 def density_fluctuation(rho: np.ndarray, margin: int) -> float:

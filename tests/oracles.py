@@ -3,9 +3,10 @@
 None of these is reached by the CLI or the benchmark, so they live here
 rather than in ``src/``: the paper's closed-form five-velocity branches,
 the exact Maxwell-Boltzmann moments, the one-point Riemann sampler, the
-jump-condition residuals of a Riemann solution and the health check of
-one tube at a time.  Tests import them with ``from oracles import ...``;
-pytest puts this directory on ``sys.path``.
+jump-condition residuals of a Riemann solution, the health check of one
+tube at a time and a shock tube in a moving frame.  Tests import them
+with ``from oracles import ...``; pytest puts this directory on
+``sys.path``.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from thermolb import model_solver
 from thermolb.model_solver import DEFAULT_GHOST_THRESHOLD, RatioTuple, VelocityModel
 from thermolb.moments import gaussian_moment_coefficient
 from thermolb.riemann import GasState, RiemannSolution, sample_profile
+from thermolb.simulator import LatticeState, ShockTubeConfig
 
 
 # ------------------------------------------------------- five-velocity models
@@ -176,3 +178,22 @@ def tube_health(f, rho, u, max_speed: float, tubes: int) -> list[str | None]:
         else:
             modes.append(None)
     return modes
+
+
+# ------------------------------------------------------------ moving frame
+
+def drift(state: LatticeState, config: ShockTubeConfig,
+          speed: float) -> tuple[GasState, GasState]:
+    """Set both states of config's one-tube lattice moving at `speed`: the
+    bands and the initial populations become the equilibria of (rho_bar,
+    speed, 1) and (1, speed, 1) on their sides, and the moments follow.
+    Returns the (left, right) states, whose Riemann solution is the
+    rest-frame one carried along at `speed` (Galilean invariance)."""
+    left, right = (GasState(s.rho, speed, s.theta)
+                   for s in (config.left_state, config.right_state))
+    state.left_band, state.right_band = (
+        state.eq.populations(*np.array([[s.rho], [s.u], [s.theta]])) for s in (left, right))
+    state.f[:, :config.interface] = state.left_band
+    state.f[:, config.interface:] = state.right_band
+    state.macro_into(state.f, state.rho, state.u, state.theta)
+    return left, right

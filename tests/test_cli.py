@@ -5,6 +5,7 @@ be checked cheaply, with one subprocess test for the module entry point.
 Numerical content is only spot-checked here; the underlying routines have
 their own oracle-backed suites.
 """
+import argparse
 import csv
 import hashlib
 import json
@@ -1309,3 +1310,14 @@ def test_catalog_regenerate_matches_references(tmp_path):
     for entry in load_json(out):
         assert entry["v2_error"] < 5e-7
         assert entry["model"]["q"] == entry["q"]
+
+
+def test_every_flag_has_help():
+    # each subcommand flag states its default, unit or convention in --help
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    flags = [(name, action.option_strings[-1], action.help)
+             for name, sub in commands.choices.items() for action in sub._actions
+             if action.option_strings and not isinstance(action, argparse._HelpAction)]
+    assert len({name for name, *_ in flags}) == 9
+    assert [(name, flag) for name, flag, text in flags if not text] == []

@@ -1,9 +1,10 @@
 """Property tests of the whole-array shock-tube kernel over random states.
 
 Hypothesis draws per-node (rho, u, theta) with rho > 0 and theta > 0, a
-catalog model and an expansion.  Exact properties (mirror symmetry, the
-tau = 1 shortcut) are checked bitwise; conservation by collision and the
-moment-accuracy guarantee are checked to rounding.  The reference step
+catalog model and an expansion.  Exact properties (mirror symmetry, one
+relaxation rule that gives a tau = 1 tube its equilibrium) are checked
+bitwise; conservation by collision and the moment-accuracy guarantee are
+checked to rounding.  The reference step
 below is the plain update rule: the relaxation formula for every tau,
 np.roll streaming, the band columns, then the pair-organized moments.
 The reference run steps the whole lattice, which run() does not: it
@@ -192,26 +193,86 @@ def test_step_gives_the_bits_of_its_kernel_calls_at_numpys_buffer(name, spec, no
             bits(want.f, want.rho, want.u, want.theta)
 
 
+# finite extremes of f, where (1 - 1) * f is -0.0 or +0.0: the largest
+# floats, a negative zero and the smallest subnormal
+EXTREMES = (np.finfo(float).max, -np.finfo(float).max, -0.0,
+            np.finfo(float).smallest_subnormal)
+
+
+def negative_zeros(a):
+    return np.signbit(a) & (a == 0.0)
+
+
 @pytest.mark.parametrize("taus", [(1.0, 0.8), (0.8, 1.0, 1.0), (1.0, 0.6, 1.0, 0.8)])
 def test_the_tau_one_tubes_of_a_mixed_lattice_take_the_equilibrium_bitwise(taus):
-    # (1 - 1) * f + feq equals feq only for finite f, so an infinite
-    # population shows whether a tau = 1 tube got the equilibrium itself
+    # one rule relaxes every tube; for finite f and an equilibrium without
+    # -0.0, (1 - 1) * f + 1 * feq is feq bit for bit
     q, n = 7, 100
     state = init_shock_tube(*(ShockTubeConfig(model=model("q7"), expansion=EXPANSIONS[1],
                                               tau=tau, nodes=n, interface=n // 2)
                               for tau in taus))
     while taus:  # then again with the first tube cut out of the lattice
-        state.f[3] = np.inf
-        feq = state.eq.populations(state.rho, state.u, state.theta)
-        with np.errstate(invalid="ignore"):
+        for row in range(1, 5):  # every extreme in every tube, on rows 1 to 4
+            state.f[row] = np.resize(np.roll(EXTREMES, row), state.f.shape[1])
+        f = state.f.reshape(q, len(taus), n).copy()
+        feq = state.eq.populations(state.rho, state.u, state.theta).reshape(q, len(taus), n)
+        with np.errstate(under="ignore"):  # (1 - omega) * the smallest subnormal
             post = state.collide().reshape(q, len(taus), n)
-        for i, tau in enumerate(taus):
-            if tau == 1.0:
-                assert bits(post[:, i]) == bits(feq.reshape(q, len(taus), n)[:, i])
-            else:
-                assert not np.isfinite(post[3, i]).any()
+            for i, tau in enumerate(taus):
+                omega = 1.0 / tau
+                want = feq[:, i] if tau == 1.0 else \
+                    (1.0 - omega) * f[:, i] + omega * feq[:, i]
+                assert bits(post[:, i]) == bits(want)
         state.keep(np.arange(len(taus)) > 0)
         taus = taus[1:]
+
+
+def test_the_runner_collides_only_finite_populations_of_positive_density(monkeypatch):
+    # the premise of the exactness of one relaxation rule: a tube is cut out
+    # of the lattice at its first failed check, before it is collided again,
+    # so every collide sees finite f, rho > 0 and an equilibrium without -0.0
+    collide = simulator.LatticeState.collide
+    seen = []
+
+    def checked(state):
+        feq = state.eq.populations(state.rho, state.u, state.theta)
+        assert np.isfinite(state.f).all() and (state.rho > 0.0).all()
+        assert not negative_zeros(feq).any()
+        seen.append(set(state.omega.tolist()))
+        return collide(state)
+
+    monkeypatch.setattr(simulator.LatticeState, "collide", checked)
+    rows = stability_scan([(name, model(name)) for name in ("q5", "q7", "q21")],
+                          EXPANSIONS, [0.3, 3.0, 11.0, 13.3], [1.0, 0.8, 0.6], nodes=400)
+    assert {"non_positive_density", "runaway_velocity"} <= {r.failure_mode for r in rows}
+    assert any(1.0 in omegas and len(omegas) > 1 for omegas in seen)  # mixed lattices
+
+
+# a u whose square underflows; theta - 1 is 0 or at least 1.1e-16 in size,
+# so its own powers never underflow, only its products with such a u
+TINY_U = st.floats(-1e-150, 1e-150)
+NEAR_ONE = st.floats(-1e-15, 1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(MODELS), spec=st.sampled_from(EXPANSIONS),
+       rho=st.floats(0.0, 1e300, exclude_min=True), u=st.floats(-2.0, 2.0) | TINY_U,
+       t=st.floats(-0.95, 3.0) | NEAR_ONE)
+@example(name="q3", spec=EXPANSIONS[0], rho=0.4, u=2.2e-162, t=2.0)
+def test_the_equilibrium_is_negative_zero_only_where_rho_underflows_it(name, spec,
+                                                                        rho, u, t):
+    # populations accumulates from +0.0 and forms E +/- O, neither of which
+    # makes a -0.0; only the closing product with rho can, where a negative
+    # population times rho < 1 rounds to zero (the example: q3 hermite:3's
+    # rest population at theta 3 is -4.9e-324 before the product)
+    eq = init_shock_tube(ShockTubeConfig(model=model(name), expansion=spec)).eq
+    state = [np.array([x]) for x in (u, 1.0 + t)]
+    unit = eq.populations(np.ones(1), *state)
+    assert not negative_zeros(unit).any()
+    with np.errstate(under="ignore", over="ignore"):
+        got = eq.populations(np.array([rho]), *state)
+        assert bits(got) == bits(unit * rho)
+    assert (negative_zeros(got) <= ((unit < 0.0) & (rho < 1.0))).all()
 
 
 @pytest.fixture
