@@ -45,14 +45,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_all(outputs: list[tuple[str | None, str]]) -> None:
-    """Write each (path, text), a path of None or "-" meaning stdout, all
-    or nothing.  A target that is missing or a regular file (through any
-    symlink) is written to a temporary sibling, and the siblings replace
-    their targets, keeping an existing file's mode, once every one is
-    written.  An existing target of another kind (a device, a FIFO), or a
-    file whose directory the run may not write, is written in place after
-    that, and stdout comes last.  An error names the path asked for."""
+def _write_all(outputs: list[tuple[str | None, str | bytes]]) -> None:
+    """Write each (path, text or bytes), a path of None or "-" meaning
+    stdout, all or nothing.  A target that is missing or a regular file
+    (through any symlink) is written to a temporary sibling, and the
+    siblings replace their targets, keeping an existing file's mode, once
+    every one is written.  An existing target of another kind (a device, a
+    FIFO), or a file whose directory the run may not write, is written in
+    place after that, and stdout comes last.  An error names the path
+    asked for."""
     staged, in_place = [], []
     try:
         for i, (path, text) in enumerate(outputs):
@@ -74,7 +75,7 @@ def _write_all(outputs: list[tuple[str | None, str]]) -> None:
                 # the index keeps two outputs to one path apart; the last one wins
                 temp = target.with_name(f".{target.name}.{os.getpid()}.{i}.tmp")
                 staged.append((temp, target))
-                temp.write_text(text)
+                (temp.write_bytes if isinstance(text, bytes) else temp.write_text)(text)
                 if mode is not None:
                     os.chmod(temp, stat.S_IMODE(mode))
             except OSError as exc:
@@ -85,10 +86,12 @@ def _write_all(outputs: list[tuple[str | None, str]]) -> None:
         for temp, _ in staged:
             temp.unlink(missing_ok=True)
     for path, text in in_place:
-        Path(path).write_text(text)
+        path = Path(path)
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
     for path, text in outputs:
         if path in (None, "-"):
-            sys.stdout.write(text)
+            sys.stdout.flush()  # text written before bytes goes first
+            (sys.stdout.buffer if isinstance(text, bytes) else sys.stdout).write(text)
 
 
 def _json_text(payload) -> str:
@@ -342,26 +345,12 @@ def cmd_verify(args) -> int:
 
 _SNAPSHOT_HEADER = "X,rho,u,theta,p\n"
 _SNAPSHOT_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
+_STRETCH_ROWS = 16  # the reader's Python steps: at most one per 16 rows
 
 
-def _repeated_rows(start: int, end: int, suffix: str) -> list[str]:
-    """The rows start..end-1, each its index followed by suffix: one uint8
-    block per stretch of indices with the same digit count, its digits
-    filled column by column and the block decoded once."""
-    tail = np.frombuffer(suffix.encode(), dtype=np.uint8)
-    texts = []
-    while start < end:
-        width = len(str(start))
-        stop = min(end, 10 ** width)
-        block = np.empty((stop - start, width + len(tail)), dtype=np.uint8)
-        block[:, width:] = tail
-        index = np.arange(start, stop, dtype=np.min_scalar_type(stop))
-        for col in range(width - 1, -1, -1):
-            index, digit = np.divmod(index, 10)
-            block[:, col] = digit + ord("0")
-        texts.append(str(block, "ascii"))
-        start = stop
-    return texts
+def _digits_before(i):
+    """The decimal digits that the indices 0..i-1 print with, in total."""
+    return i + sum(np.maximum(i - 10 ** k, 0) for k in range(1, 19))
 
 
 def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
@@ -372,22 +361,48 @@ def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
     Riemann profile is piecewise constant, so most rows repeat the one
     above.  Only a run's first row goes through the format string; each
     other row is its own index followed by the first row's text after its
-    index, written as byte blocks.  Rows are compared by their float64 bit
-    patterns, because -0.0 == 0.0 prints differently and a NaN never
-    compares equal."""
-    cols = np.stack((rho, u, theta, rho * theta), axis=1)
-    bits = cols.view(np.int64)
-    first = np.ones(len(cols), dtype=bool)
-    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    bounds = np.append(np.flatnonzero(first), len(cols))
-    lines = [_SNAPSHOT_HEADER]
-    lines += [_SNAPSHOT_ROW % row for row in zip(bounds.tolist(), *cols[first].T.tolist())]
-    # backwards, so that inserting a run's blocks keeps the earlier lines' places
-    for k in np.flatnonzero(np.diff(bounds) > 1).tolist()[::-1]:
-        start, end = bounds[k:k + 2].tolist()
-        suffix = lines[k + 1][len(str(start)):]
-        lines[k + 2:k + 2] = _repeated_rows(start + 1, end, suffix)
-    return "".join(lines)
+    index.  The table is one uint8 buffer of the exact size, which the
+    heads' lengths give: the heads are copied in back to back, and each
+    run's other rows are filled as (rows, length) views of the buffer, one
+    per stretch of indices with the same digit count.  Rows are compared
+    by their float64 bit patterns, because -0.0 == 0.0 prints differently
+    and a NaN never compares equal."""
+    cols = (rho, u, theta, rho * theta)
+    first = np.ones(len(rho), dtype=bool)
+    first[1:] = np.logical_or.reduce([c.view(np.int64)[1:] != c.view(np.int64)[:-1]
+                                      for c in cols])
+    bounds = np.append(np.flatnonzero(first), len(rho))
+    heads = np.frombuffer("".join([_SNAPSHOT_ROW % row for row in zip(
+        bounds.tolist(), *(c[first].tolist() for c in cols))]).encode(), dtype=np.uint8)
+    head_end = np.flatnonzero(heads == ord("\n")) + 1
+    digits = _digits_before(bounds)
+    length = np.diff(head_end, prepend=0)  # of each head row
+    suffix = length - (_digits_before(bounds[:-1] + 1) - digits[:-1])
+    # run k starts at byte at[k]: the header, the indices and the suffixes before it
+    at = len(_SNAPSHOT_HEADER) + digits + np.cumsum(
+        np.concatenate(([0], np.diff(bounds) * suffix)))
+    out = np.empty(at[-1], dtype=np.uint8)
+    out[:len(_SNAPSHOT_HEADER)] = np.frombuffer(_SNAPSHOT_HEADER.encode(), dtype=np.uint8)
+    done = 0  # heads[:done] are in place
+    for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        (start, end), tail = bounds[k:k + 2].tolist(), int(suffix[k])
+        # the heads since the last run of two or more rows lie back to back
+        pos = int(at[k] + length[k])
+        out[pos - (head_end[k] - done):pos] = heads[done:head_end[k]]
+        done = head_end[k]
+        lo = start + 1
+        while lo < end:
+            w = len(str(lo))
+            hi = min(end, 10 ** w)
+            block = out[pos:pos + (hi - lo) * (w + tail)].reshape(hi - lo, w + tail)
+            block[:, w:] = heads[done - tail:done]
+            index = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
+            for col in range(w - 1, -1, -1):
+                index, digit = np.divmod(index, 10)
+                block[:, col] = digit + ord("0")
+            pos, lo = pos + block.size, hi
+    out[at[-1] - (len(heads) - done):] = heads[done:]
+    return str(out, "ascii")
 
 
 def _config_dict(config: ShockTubeConfig, steps: int) -> dict:
@@ -417,8 +432,8 @@ def cmd_simulate(args) -> int:
     check_probes(config.nodes, config.probes)
     result = run(config)
     final = result.final
-    csv_text = _snapshot_csv(final.rho, final.u, final.theta)
-    digest = hashlib.sha256(csv_text.encode()).hexdigest()
+    csv_data = _snapshot_csv(final.rho, final.u, final.theta).encode()
+    digest = hashlib.sha256(csv_data).hexdigest()
     plateaus = extract_plateaus(result.final, *config.probes)
     manifest = {
         "command": "simulate",
@@ -434,7 +449,7 @@ def cmd_simulate(args) -> int:
         "final_step": result.final.step,
         "output_sha256": digest,
     }
-    outputs = [(args.csv, csv_text)] if args.csv else []
+    outputs = [(args.csv, csv_data)] if args.csv else []
     if args.manifest or not args.csv:
         outputs.append((args.manifest or None, _json_text(manifest)))
     _write_all(outputs)  # a failed write leaves neither file
@@ -497,14 +512,21 @@ def _read_snapshot_csv(path: str):
     after the index is byte-identical to the row above has that row's
     values, so only the first row of each such run goes through
     np.loadtxt and the result is repeated: the floats are the ones
-    parsing every row gives."""
-    data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    buf = np.frombuffer(data, dtype=np.uint8)
+    parsing every row gives.  Runs are found on (rows, length) views of
+    the file's one uint8 buffer, over stretches of at least
+    _STRETCH_ROWS rows of one byte length and one index width; a row
+    outside such a stretch is parsed like a run's first row."""
+    with open(path, "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        buf = buf[:fh.readinto(buf)]
+        rest = fh.read()  # a pipe, or a file that grew
+    if rest:
+        buf = np.concatenate((buf, np.frombuffer(rest, dtype=np.uint8)))
+    digest = hashlib.sha256(buf).hexdigest()
     ends = np.flatnonzero(buf == ord("\n"))
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # no final newline
-    header = data[:ends[0]].removesuffix(b"\r")
+    header = buf[:ends[0]].tobytes().removesuffix(b"\r")
     if header != _SNAPSHOT_HEADER.rstrip("\n").encode():
         found = header[:40].decode(errors="replace") + ("..." if len(header) > 40 else "")
         raise ValueError(f"{path} line 1: expected the header "
@@ -528,32 +550,24 @@ def _read_snapshot_csv(path: str):
         ok[lo:hi] &= index == np.arange(lo, hi)
     if not ok.all():
         k = int(np.argmin(ok))
-        index = data[starts[k]:ends[k]].split(b",")[0].decode(errors="replace")
+        index = buf[starts[k]:ends[k]].tobytes().split(b",")[0].decode(errors="replace")
         raise ValueError(f"{path} line {k + 2}: X is {index!r}, expected {k}")
-    # runs: rows whose text from the comma to the newline equals the row
-    # above's.  The 8 bytes after each index make a cheap first cut, which
-    # can only drop pairs (a five-field row's text has at least 8 bytes);
-    # the pairs left are compared whole, grouped by length.
-    comma = starts + np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
-    size = ends - comma
-    word = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    at = np.minimum(comma, len(word) - 1)
-    pairs = np.flatnonzero(size[1:] == size[:-1]) + 1
-    pairs = pairs[word[at[pairs]] == word[at[pairs - 1]]]
-    pairs = pairs[np.argsort(size[pairs], kind="stable")]
+    # a row repeats the one above when its bytes from the comma on are
+    # equal; rows lo..hi-1 of one stretch are the rows of a (rows, size) view
+    size = ends - starts
+    cut = np.unique(np.concatenate(([0], np.flatnonzero(np.diff(size)) + 1, bounds[1:])))
+    long = np.flatnonzero(np.diff(cut) >= _STRETCH_ROWS)
     same = np.zeros(n, dtype=bool)
-    for group in np.split(pairs, np.flatnonzero(np.diff(size[pairs])) + 1):
-        if len(group):
-            text = sliding_window_view(buf, size[group[0]])
-            step = max(1, (1 << 20) // size[group[0]])  # gather ~1 MB at a time
-            for rows in (group[i:i + step] for i in range(0, len(group), step)):
-                same[rows] = (text[comma[rows]] == text[comma[rows - 1]]).all(axis=1)
+    for lo, hi in zip(cut[long].tolist(), cut[long + 1].tolist()):
+        w, line = len(str(lo)), int(size[lo])
+        rows = sliding_window_view(buf, line)[starts[lo]:starts[hi - 1] + 1:line + 1, w:]
+        same[lo + 1:hi] = (rows[1:] == rows[:-1]).all(axis=1)
     heads = np.flatnonzero(~same)
     # parse each block of consecutive run heads as one slice of the file.
     # The text stream hands loadtxt one line at a time, split at LF only,
     # so a stray CR stays inside its line and loadtxt rejects it.
     edges = np.flatnonzero(np.diff(~same, prepend=False, append=False)).reshape(-1, 2)
-    view = memoryview(data)
+    view = memoryview(buf)
     heads_text = b"".join(view[a:b] for a, b in zip(starts[edges[:, 0]].tolist(),
                                                     (ends[edges[:, 1] - 1] + 1).tolist()))
     try:
@@ -562,7 +576,7 @@ def _read_snapshot_csv(path: str):
     except ValueError:
         for k in heads.tolist():  # name the first line that does not parse
             try:
-                _parse_rows([data[starts[k]:ends[k]].decode()])
+                _parse_rows([buf[starts[k]:ends[k]].tobytes().decode()])
             except ValueError as exc:
                 raise ValueError(f"{path} line {k + 2}: {exc}") from None
         raise

@@ -533,23 +533,18 @@ def extract_plateaus(snapshot: Snapshot, probe_low: int,
     on a converged plateau and the reading is suspect.
     """
     check_probes(len(snapshot.rho), (probe_low, probe_high))
-
-    def read(field: np.ndarray, probe: int) -> float:
-        return float(np.median(field[probe - PLATEAU_WINDOW:probe + PLATEAU_WINDOW + 1]))
-
-    def is_flat(probe: int) -> bool:
-        w = snapshot.rho[probe - PLATEAU_WINDOW:probe + PLATEAU_WINDOW + 1]
-        mid = float(np.median(w))
-        return bool(abs(w - mid).max() <= FLAT_TOLERANCE * abs(mid))
-
-    rho = (read(snapshot.rho, probe_low), read(snapshot.rho, probe_high))
-    u = (read(snapshot.u, probe_low), read(snapshot.u, probe_high))
-    theta = (read(snapshot.theta, probe_low), read(snapshot.theta, probe_high))
-    p = (read(snapshot.pressure_reported, probe_low),
-         read(snapshot.pressure_reported, probe_high))
-    return PlateauReport(probe_low=probe_low, probe_high=probe_high, rho=rho,
-                         u=u, theta=theta, pressure_reported=p, window=PLATEAU_WINDOW,
-                         flat=(is_flat(probe_low), is_flat(probe_high)))
+    # (rho, u, theta, p) x (low, high) x window; the window is odd, so each
+    # median is one of its values and a NaN gives NaN
+    window = np.array([[field[probe - PLATEAU_WINDOW:probe + PLATEAU_WINDOW + 1]
+                        for probe in (probe_low, probe_high)]
+                       for field in (snapshot.rho, snapshot.u, snapshot.theta)])
+    window = np.concatenate((window, [window[0] * window[2]]))
+    rho, u, theta, p = np.median(window, axis=2).tolist()
+    flat = np.abs(window[0] - np.array(rho)[:, None]).max(axis=1) <= (
+        FLAT_TOLERANCE * np.abs(rho))
+    return PlateauReport(probe_low=probe_low, probe_high=probe_high, rho=tuple(rho),
+                         u=tuple(u), theta=tuple(theta), pressure_reported=tuple(p),
+                         window=PLATEAU_WINDOW, flat=tuple(flat.tolist()))
 
 
 @dataclass(frozen=True)

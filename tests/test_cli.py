@@ -11,11 +11,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +648,17 @@ def test_simulate_without_output_paths_prints_the_manifest(tmp_path, monkeypatch
     assert json.loads(out)["final_step"] == 20
 
 
+def test_simulate_prints_the_snapshot_it_would_write(tmp_path, capsysbinary):
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
+    assert main(argv) == EXIT_OK
+    capsysbinary.readouterr()
+    argv[argv.index(str(csv_path))] = "-"
+    assert main(argv) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert out == csv_path.read_bytes()
+    assert hashlib.sha256(out).hexdigest() == load_json(manifest_path)["output_sha256"]
+
+
 def test_right_side_plateaus_mirror_the_left_ones_bit_for_bit(tmp_path):
     # the right tube's probes are the left tube's mirrored, x -> nodes - 1 - x
     plateaus = {}
@@ -858,20 +871,39 @@ def loadtxt_reader(path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(runs=snapshot_runs(), newline=st.sampled_from(["\n", "\r\n"]),
-       final_newline=st.booleans())
-@example(runs=[(1, (2, 1, 6))], newline="\r\n", final_newline=False)
+@given(runs=snapshot_runs(lengths=st.integers(1, 40)),
+       newline=st.sampled_from(["\n", "\r\n"]), final_newline=st.booleans(),
+       bumped=st.none() | st.integers(0, 10 ** 6))
+@example(runs=[(1, (2, 1, 6))], newline="\r\n", final_newline=False, bumped=None)
 @example(runs=[(8, (0, 2, 9)), (4, (1, 2, 9)), (3, (1, 3, 9))], newline="\n",
-         final_newline=True)  # runs over 9 -> 10
-@example(runs=[(3, (14, 0, 11)), (2, (14, 11, 11))], newline="\n",
-         final_newline=True)  # equal-length texts that differ past their first 8 bytes
+         final_newline=True, bumped=None)  # runs over 9 -> 10
+@example(runs=[(3, (14, 0, 11)), (2, (14, 11, 11))], newline="\n", final_newline=True,
+         bumped=None)  # equal-length texts that differ past their first 8 bytes
 @example(runs=[(99_999, (10, 11, 12)), (2, (10, 11, 12))], newline="\r\n",
-         final_newline=False)  # one run over 99999 -> 100000
+         final_newline=False, bumped=None)  # one run over 99999 -> 100000
+@example(runs=[(3, (12, 0, 11)), (140, (0, 1, 11))], newline="\n", final_newline=True,
+         bumped=None)  # one run over 9 -> 10 and 99 -> 100
+@example(runs=[(10, (1, 0, 11)), (90, (0, 1, 11)), (40, (0, 0, 11))], newline="\n",
+         final_newline=True, bumped=None)  # 140 rows of 11 bytes over 9 -> 10, 99 -> 100
+@example(runs=[(40, (11, 0, 11))], newline="\n", final_newline=False,
+         bumped=None)  # a long run whose last row has no newline
+@example(runs=[(40, (16, 13, 14))], newline="\r\n", final_newline=True,
+         bumped=None)  # a long CRLF run
+@example(runs=[(40, (11, 0, 11))], newline="\r\n", final_newline=True,
+         bumped=25)  # rows 24-26 differ only in row 25's last byte
 def test_snapshot_reader_matches_parsing_every_row(tmp_path_factory, runs, newline,
-                                                   final_newline):
+                                                   final_newline, bumped):
     rho, u, theta = snapshot_columns(runs)
     with np.errstate(all="ignore"):
-        text = _snapshot_csv(rho, u, theta).replace("\n", newline)
+        text = _snapshot_csv(rho, u, theta)
+    if bumped is not None and len(rho):
+        # a hand edit of the last digit of one row: it leaves the row's
+        # length and every other byte as they were
+        lines, k = text.split("\n"), 1 + bumped % len(rho)
+        if lines[k][-1].isdigit():
+            lines[k] = lines[k][:-1] + str((int(lines[k][-1]) + 1) % 10)
+        text = "\n".join(lines)
+    text = text.replace("\n", newline)
     if not final_newline:
         text = text.removesuffix(newline)
     path = tmp_path_factory.mktemp("reader") / "s.csv"
@@ -1321,3 +1353,7 @@ def test_every_flag_has_help():
              if action.option_strings and not isinstance(action, argparse._HelpAction)]
     assert len({name for name, *_ in flags}) == 9
     assert [(name, flag) for name, flag, text in flags if not text] == []
+    # and README.md names each one, not only as the prefix of a longer flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [(name, flag) for name, flag, _ in flags
+            if not re.search(re.escape(flag) + r"(?![\w-])", readme)] == []

@@ -500,6 +500,46 @@ def test_extract_plateaus_median_is_outlier_proof_but_flat_flag_is_not():
     assert report.flat == (True, False)
 
 
+def _whole_field_plateaus(snapshot, probe_low, probe_high):
+    """extract_plateaus(...).as_dict() as computed before the windows were
+    stacked: p = rho * theta over the whole field, one median per window."""
+    lo, hi = -simulator.PLATEAU_WINDOW, simulator.PLATEAU_WINDOW + 1
+    probes = (probe_low, probe_high)
+    fields = {"rho": snapshot.rho, "u": snapshot.u, "theta": snapshot.theta,
+              "p": snapshot.pressure_reported}
+    out = {name: [float(np.median(field[probe + lo:probe + hi])) for probe in probes]
+           for name, field in fields.items()}
+    flat = [bool(abs(snapshot.rho[probe + lo:probe + hi] - mid).max()
+                 <= simulator.FLAT_TOLERANCE * abs(mid))
+            for probe, mid in zip(probes, out["rho"])]
+    return {"probe_nodes": list(probes), **out, "window": simulator.PLATEAU_WINDOW,
+            "flat": flat}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_plateau_windows_read_like_the_whole_field_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 5e-324, -1.0, 1.0, 2.5, 1e300, -np.inf, np.inf, np.nan,
+                     *rng.normal(size=6)])
+    # a quarter of the snapshots hold no NaN, a quarter zeros of both signs
+    # and a subnormal, and a quarter values within 1% of 1, which are flat
+    pool = [pool, pool[~np.isnan(pool)], pool[:3],
+            [1.0, 1.01, 0.99, 1 + 2 ** -52]][seed % 4]
+    n = 60
+    rho, u, theta = (rng.choice(pool, n) for _ in range(3))
+    probes = sorted(int(p) for p in rng.integers(10, n - 10, size=2))
+    snapshot = Snapshot(0, rho, u, theta)
+    with np.errstate(all="ignore"):  # 0 * inf, 1e300 * 1e300
+        got = extract_plateaus(snapshot, *probes).as_dict()
+        want = _whole_field_plateaus(snapshot, *probes)
+
+    def bits(report):
+        return {key: [struct.pack("<d", v) if isinstance(v, float) else v for v in value]
+                if isinstance(value, list) else value for key, value in report.items()}
+
+    assert bits(got) == bits(want)
+
+
 def test_probes_are_range_checked_only_against_a_snapshot(q21):
     # the default probes lie off a 44-node lattice, which still runs
     config = ShockTubeConfig(model=q21, expansion=TE3, nodes=44, interface=22, steps=2)
