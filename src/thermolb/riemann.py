@@ -9,8 +9,9 @@ rho * theta (twice the physical pressure); conversion happens at the
 reporting layer only, everything here works with physical pressure.
 
 The solver is the standard exact iteration on the star-region pressure
-(Newton with a two-rarefaction starting guess, bisection fallback),
-followed by self-similar sampling in xi = x / t.
+(Newton with a two-rarefaction starting guess, bisection fallback; it
+stops once a Newton step is below _TOL of the pressure, even one that
+lands on a bracket end), followed by self-similar sampling in xi = x / t.
 """
 from __future__ import annotations
 
@@ -96,6 +97,8 @@ def _pressure_function(p: float, state: GasState, gamma: float):
         ak = 2.0 / ((gamma + 1.0) * state.rho)
         bk = (gamma - 1.0) / (gamma + 1.0) * pk
         root = math.sqrt(ak / (p + bk))
+        if root == math.inf:  # the quotient overflows for a very dilute state
+            root = math.sqrt(ak) / math.sqrt(p + bk)
         f = (p - pk) * root
         df = root * (1.0 - 0.5 * (p - pk) / (p + bk))
     else:  # rarefaction branch (isentrope)
@@ -121,11 +124,14 @@ def solve_riemann(left: GasState, right: GasState,
 
     Newton iteration on the star pressure with a guarded bisection
     fallback; converges to relative pressure increments below _TOL.
-    Raises VacuumError when the states separate into vacuum.
+    Raises ValueError when a sound speed is 0 or inf in floats, and
+    VacuumError when the states separate into vacuum.
     """
     if not 1.0 < gamma < math.inf:
         raise ValueError(f"adiabatic index must be finite and exceed 1, got {gamma}")
     al, ar = left.sound_speed(gamma), right.sound_speed(gamma)
+    if not (0.0 < al < math.inf and 0.0 < ar < math.inf):
+        raise ValueError(f"sound speeds {al} and {ar} must be finite and positive floats")
     du = right.u - left.u
     if 2.0 * (al + ar) / (gamma - 1.0) <= du:
         raise VacuumError(
@@ -151,13 +157,12 @@ def solve_riemann(left: GasState, right: GasState,
         else:
             lo = max(lo, p)
         step = f / df
-        p_new = p - step
-        if not lo < p_new < hi:
-            p_new = 0.5 * (lo + hi)  # bisection fallback
-        if abs(p_new - p) <= _TOL * 0.5 * (p_new + p):
-            p = p_new
+        converged = abs(step) <= _TOL * p  # kept even where it lands on a bracket end
+        # the Newton step, or the bisection fallback where it leaves the bracket
+        p_new = p - step if converged or lo < p - step < hi else 0.5 * (lo + hi)
+        p, p_old = p_new, p
+        if converged or abs(p - p_old) <= _TOL * 0.5 * (p + p_old):
             break
-        p = p_new
     else:
         raise RuntimeError(
             f"star pressure iteration failed to converge in {_MAX_ITER} steps")

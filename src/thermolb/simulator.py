@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -355,12 +355,8 @@ def check_health(state: LatticeState, max_speed: float) -> list[str | None]:
 class RunResult:
     config: ShockTubeConfig
     steps_requested: int
-    snapshots: tuple[Snapshot, ...]
+    final: Snapshot
     verdict: StabilityVerdict
-
-    @property
-    def final(self) -> Snapshot:
-        return self.snapshots[-1]
 
 
 def _light_cone(config: ShockTubeConfig, steps: int) -> tuple[ShockTubeConfig, np.ndarray]:
@@ -394,29 +390,28 @@ def run(config: ShockTubeConfig) -> RunResult:
     """Run a shock tube to its horizon (or until instability).
 
     Snapshots are recorded by _Tube.due's rule: every snapshot_interval
-    steps and at the horizon while healthy.  The verdict reports the first
+    steps and at the horizon while healthy, each scored and then replacing
+    the one before, so that a run keeps one.  The verdict reports the first
     failed health check or non-finite fluctuation score, and the largest
     score of a healthy snapshot; a tube that fails before its first
-    snapshot keeps its unhealthy fields as the one snapshot, unscored (0).
+    snapshot keeps its unhealthy fields as final, unscored (0).
 
-    The steps run on the lattice of _light_cone and every snapshot is
-    expanded back to config.nodes.  Each node of config's lattice equals a
-    stepped node bit for bit and the other way round, so the snapshots,
-    the health verdict (which asks whether any node fails) and the
-    fluctuation scores are those of stepping config's whole lattice.
+    The steps run on the lattice of _light_cone, whose nodes equal those of
+    config's lattice bit for bit, so final, the health verdict (which asks
+    whether any node fails) and the scores are those of the whole lattice.
     """
     return _run_tubes([config])[0]
 
 
 @dataclass
 class _Tube:
-    """One config's run through _run_tubes: its horizon, the snapshots
-    recorded so far, their largest fluctuation score and the first failed
+    """One config's run through _run_tubes: its horizon, the last snapshot
+    recorded, the largest fluctuation score so far and the first failed
     health check as (step, mode)."""
 
     config: ShockTubeConfig
     horizon: int
-    snapshots: list[Snapshot] = field(default_factory=list)
+    final: Snapshot | None = None
     score: float = 0.0
     failure: tuple[int, str] | None = None
 
@@ -426,14 +421,14 @@ class _Tube:
         failure, the failing fields are kept only if nothing was recorded,
         and they are not scored."""
         if self.failure is not None:
-            return not self.snapshots
+            return self.final is None
         interval = self.config.snapshot_interval
         return k == self.horizon or bool(k and interval and k % interval == 0)
 
     def result(self) -> RunResult:
         at, mode = self.failure or (None, None)
         verdict = StabilityVerdict(mode is None, at, mode, self.score)
-        return RunResult(self.config, self.horizon, tuple(self.snapshots), verdict)
+        return RunResult(self.config, self.horizon, self.final, verdict)
 
 
 def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
@@ -465,11 +460,10 @@ def _run_tubes(configs: Sequence[ShockTubeConfig]) -> list[RunResult]:
             for pos, tube in enumerate(live):
                 if tube.due(k):
                     rows = slice(pos * n, (pos + 1) * n)
-                    snap = Snapshot(k, state.rho[rows][index], state.u[rows][index],
-                                    state.theta[rows][index])
-                    tube.snapshots.append(snap)
+                    tube.final = Snapshot(k, state.rho[rows][index], state.u[rows][index],
+                                          state.theta[rows][index])
                     if tube.failure is None:  # post-mortem fields are not scored
-                        score = density_fluctuation(snap.rho, margin)
+                        score = density_fluctuation(tube.final.rho, margin)
                         if math.isfinite(score):
                             tube.score = max(tube.score, score)
                         else:
@@ -582,10 +576,7 @@ def _scan_group(group: tuple[str, list[ShockTubeConfig]]) -> list[ScanEntry]:
 
 def _group_cost(group: tuple[str, list[ShockTubeConfig]]) -> int:
     """Rough stepping cost of a scan group: q * longest horizon * tubes."""
-    configs = group[1]
-    horizon = max((c.steps if c.steps is not None else default_step_count(c)
-                   for c in configs), default=0)
-    return horizon * sum(c.model.q for c in configs)
+    return max((c.steps for c in group[1]), default=0) * sum(c.model.q for c in group[1])
 
 
 def _scan_groups(groups: list[tuple[str, list[ShockTubeConfig]]],
@@ -634,6 +625,9 @@ def stability_scan(model_specs: Iterable[tuple[str, VelocityModel]],
                                       interface=nodes // 2)
                       for rho_bar in rho_bars for tau in taus])
               for name, model in model_specs for spec in expansions]
+    if steps is None:  # each row's horizon, settled here once, not again in a worker
+        groups = [(name, [replace(c, steps=default_step_count(c)) for c in configs])
+                  for name, configs in groups]
     order = sorted(range(len(groups)), key=lambda i: _group_cost(groups[i]),
                    reverse=True)
     by_group = dict(zip(order, _scan_groups([groups[i] for i in order], workers)))

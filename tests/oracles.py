@@ -4,19 +4,21 @@ None of these is reached by the CLI or the benchmark, so they live here
 rather than in ``src/``: the paper's closed-form five-velocity branches,
 the exact Maxwell-Boltzmann moments, the one-point Riemann sampler, the
 jump-condition residuals of a Riemann solution, the health check of one
-tube at a time and a shock tube in a moving frame.  Tests import them
+tube at a time, a shock tube in a moving frame and a record of the fields
+a run scores.  Tests import them
 with ``from oracles import ...``; pytest puts this directory on
 ``sys.path``.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 
 from thermolb import _ratpoly as rp
-from thermolb import model_solver
+from thermolb import model_solver, simulator
 from thermolb.model_solver import DEFAULT_GHOST_THRESHOLD, RatioTuple, VelocityModel
 from thermolb.moments import gaussian_moment_coefficient
 from thermolb.riemann import GasState, RiemannSolution, sample_profile
@@ -126,11 +128,21 @@ def sample(solution: RiemannSolution, xi: float) -> GasState:
     return GasState(float(rho[0]), float(u[0]), float(theta[0]))
 
 
-def shock_residuals(solution: RiemannSolution) -> dict[str, float]:
+def shock_residuals(solution: RiemannSolution, relative: bool = False) -> dict[str, float]:
     """Rankine-Hugoniot defects of any shock waves present, and Riemann
-    invariant defects of any rarefactions."""
+    invariant defects of any rarefactions.
+
+    relative=True divides each defect by the sum of its terms' magnitudes,
+    so that a defect at rounding level reads ~1e-16 at any density scale;
+    the entropy defect is then taken as a ratio to 1, which does not
+    overflow where rho**gamma would."""
     g = solution.gamma
     out: dict[str, float] = {}
+
+    def put(name: str, *terms: float) -> None:
+        defect = math.fsum(terms)
+        out[name] = defect / math.fsum(map(abs, terms)) if relative and defect else defect
+
     for label, state, wave, rho_star, sign in (
             ("left", solution.left, solution.left_wave, solution.rho_star_left, -1),
             ("right", solution.right, solution.right_wave, solution.rho_star_right, +1)):
@@ -139,24 +151,25 @@ def shock_residuals(solution: RiemannSolution) -> dict[str, float]:
             s = wave.head
             m0 = state.rho * (state.u - s)
             m1 = rho_star * (u_star - s)
-            out[f"{label}_mass"] = m1 - m0
-            out[f"{label}_momentum"] = (
-                rho_star * (u_star - s) * u_star + p_star
-                - state.rho * (state.u - s) * state.u - state.pressure)
+            put(f"{label}_mass", m1, -m0)
+            put(f"{label}_momentum", rho_star * (u_star - s) * u_star, p_star,
+                -state.rho * (state.u - s) * state.u, -state.pressure)
             e0 = state.pressure / ((g - 1.0) * state.rho)
             e1 = p_star / ((g - 1.0) * rho_star)
             # energy flux is continuous in the shock frame
-            out[f"{label}_energy"] = (
-                m1 * (e1 + 0.5 * (u_star - s)**2 + p_star / rho_star)
-                - m0 * (e0 + 0.5 * (state.u - s)**2 + state.pressure / state.rho))
+            put(f"{label}_energy", m1 * e1, m1 * (0.5 * (u_star - s)**2),
+                m1 * (p_star / rho_star), -m0 * e0, -m0 * (0.5 * (state.u - s)**2),
+                -m0 * (state.pressure / state.rho))
         else:
             a = state.sound_speed(g)
             a_star = math.sqrt(g * p_star / rho_star)
-            out[f"{label}_invariant"] = (
-                (u_star - sign * 2.0 * a_star / (g - 1.0))
-                - (state.u - sign * 2.0 * a / (g - 1.0)))
-            out[f"{label}_entropy"] = (
-                p_star / rho_star**g - state.pressure / state.rho**g)
+            put(f"{label}_invariant", u_star, -sign * 2.0 * a_star / (g - 1.0),
+                -state.u, sign * 2.0 * a / (g - 1.0))
+            if relative:
+                put(f"{label}_entropy",
+                    p_star / state.pressure * (state.rho / rho_star)**g, -1.0)
+            else:
+                put(f"{label}_entropy", p_star / rho_star**g, -state.pressure / state.rho**g)
     return out
 
 
@@ -197,3 +210,23 @@ def drift(state: LatticeState, config: ShockTubeConfig,
     state.f[:, config.interface:] = state.right_band
     state.macro_into(state.f, state.rho, state.u, state.theta)
     return left, right
+
+
+# ------------------------------------------------------------ scored fields
+
+@contextmanager
+def scored_fields():
+    """The density fields that runs inside the block score, in order: what
+    they pass simulator.density_fluctuation.  A run keeps only its last
+    snapshot, so this is how a test sees the others."""
+    fields, score = [], simulator.density_fluctuation
+
+    def spy(rho, margin):
+        fields.append(rho.copy())
+        return score(rho, margin)
+
+    simulator.density_fluctuation = spy
+    try:
+        yield fields
+    finally:
+        simulator.density_fluctuation = score

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermolb import simulator
 from thermolb.cli import (EXIT_EXPECTATION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                           _csv_lines, _read_snapshot_csv, _snapshot_csv, build_parser,
                           main)
@@ -1076,6 +1077,31 @@ def test_riemann_vacuum_is_a_numerical_failure(run_cli):
         EXIT_NUMERICAL, "",
         "numerical failure: velocity jump 6.0 exceeds the pressure positivity limit\n")
     assert run_cli(["riemann", "--left", "1,0", "--right", "1,0,1"])[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, speeds", [
+    # the dense state's pressure 0.5 * 5e-324 rounds to 0
+    (["simulate", "--model", "q7", "--kind", "taylor", "--order", "3", "--rho-bar",
+      "5e-324", "--allow-unstable"], "0.0 and 1.224744871391589"),
+    # gamma * pressure overflows in the dense state's sound speed
+    (["simulate", "--model", "q7", "--kind", "taylor", "--order", "3", "--rho-bar",
+      "1.7e308", "--allow-unstable"], "inf and 1.224744871391589"),
+    (["riemann", "--left", "1e-200,0,1e-200", "--right", "1e200,0,1e100"],
+     "0.0 and 1.2247448713915891e+50"),
+], ids=["simulate-rho-bar-5e-324", "simulate-rho-bar-1.7e308", "riemann-pressure-underflows"])
+def test_a_pressure_outside_the_float_range_is_a_usage_error(tmp_path, monkeypatch, run_cli,
+                                                             argv, speeds):
+    # these ended in a ZeroDivisionError traceback from the starting guess,
+    # or (1.7e308) in a failure to converge; now the exact solve rejects
+    # them before any lattice is stepped
+    def no_lattice(*configs):
+        pytest.fail("a lattice was stepped")
+
+    monkeypatch.setattr(simulator, "init_shock_tube", no_lattice)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == (
+        EXIT_USAGE, "", f"error: sound speeds {speeds} must be finite and positive floats\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- compare

@@ -9,7 +9,8 @@ below is the plain update rule: the relaxation formula for every tau,
 np.roll streaming, the band columns, then the pair-organized moments.
 The reference run steps the whole lattice, which run() does not: it
 steps a light-cone copy and expands its snapshots, and must give the
-same bits.
+same bits: in the snapshot it keeps, and in every density field it scores
+along the way.
 """
 import math
 from dataclasses import replace
@@ -20,11 +21,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import tube_health
+from oracles import scored_fields, tube_health
 from thermolb import ExpansionSpec, ShockTubeConfig, resolve_catalog, simulator
 from thermolb.equilibrium import expand, moment_accuracy, verify_moments
 from thermolb.model_solver import CATALOG
-from thermolb.simulator import (_light_cone, _run_tubes, apply_boundaries,
+from thermolb.simulator import (Snapshot, _light_cone, _run_tubes, apply_boundaries,
                                 check_health, default_step_count,
                                 density_fluctuation, init_shock_tube, min_nodes,
                                 run, stability_scan, step)
@@ -373,8 +374,10 @@ def test_guaranteed_moments_hold_at_random_subsonic_states(name, spec, rho, u, t
 
 
 def dense_run(config):
-    """(snapshots, failure step, failure mode, fluctuation) of stepping
-    config's whole lattice, with run()'s snapshot and health rules."""
+    """(scored, final, failure step, failure mode, fluctuation) of stepping
+    config's whole lattice, with run()'s snapshot and health rules: scored
+    lists the rho of every snapshot recorded, in order, and final is the
+    last Snapshot, or that of the failing state when none was recorded."""
     total = config.steps if config.steps is not None else default_step_count(config)
     state = init_shock_tube(config)
     snapshots, failure = [], (None, None)
@@ -389,16 +392,21 @@ def dense_run(config):
     if failure[1] is None and (not snapshots or snapshots[-1][0] != state.step_count):
         snapshots.append((state.step_count, state.rho.copy(), state.u.copy(),
                           state.theta.copy()))
+    scored = [rho for _, rho, _, _ in snapshots]
     fluct = max([0.0] + [density_fluctuation(rho, config.band_width + 1)
-                         for _, rho, _, _ in snapshots])
+                         for rho in scored])
     if failure[1] is not None and not snapshots:
         snapshots.append((state.step_count, state.rho.copy(), state.u.copy(),
                           state.theta.copy()))
-    return snapshots, *failure, fluct
+    return scored, Snapshot(*snapshots[-1]), *failure, fluct
 
 
 def bits(*arrays):
     return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+def snapshot_bits(snap):
+    return (snap.step, *bits(snap.rho, snap.u, snap.theta))
 
 
 def test_run_equals_stepping_the_whole_lattice_bitwise():
@@ -432,11 +440,12 @@ def test_run_equals_stepping_the_whole_lattice_bitwise():
                                  nodes=nodes, interface=interface,
                                  high_side=high_side, tau=tau, steps=steps,
                                  snapshot_interval=interval)
-        want, failure_step, failure_mode, fluct = dense_run(config)
-        result = run(config)
+        scored, final, failure_step, failure_mode, fluct = dense_run(config)
+        with scored_fields() as fields:
+            result = run(config)
         assert result.config is config
-        assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in result.snapshots] == \
-            [(n, *bits(rho, u, theta)) for n, rho, u, theta in want]
+        assert bits(*fields) == bits(*scored)
+        assert snapshot_bits(result.final) == snapshot_bits(final)
         verdict = result.verdict
         assert verdict.stable == (failure_mode is None)
         assert (verdict.failure_step, verdict.failure_mode) == (failure_step, failure_mode)
@@ -524,11 +533,17 @@ def test_batched_tubes_equal_their_own_runs_bitwise(name, spec, tubes, nodes, in
                                snapshot_interval=interval, nodes=nodes,
                                interface=min(max(round(interface * nodes), 1), nodes - 1))
                for rho_bar, tau, side, steps, interval in tubes]
-    for got, config in zip(_run_tubes(configs), configs):
-        want = run(config)
+    with scored_fields() as batched:
+        results = _run_tubes(configs)
+    # the batch scores the fields that the tubes' own runs score, each
+    # tube's in its own order (checked against run() and dense_run below)
+    alone = []
+    for got, config in zip(results, configs):
+        with scored_fields() as fields:
+            want = run(config)
+        alone += fields
         assert got.config is config and got.steps_requested == want.steps_requested
-        assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in got.snapshots] == \
-            [(s.step, *bits(s.rho, s.u, s.theta)) for s in want.snapshots]
+        assert snapshot_bits(got.final) == snapshot_bits(want.final)
         assert got.verdict.stable == want.verdict.stable
         assert (got.verdict.failure_step, got.verdict.failure_mode) == \
             (want.verdict.failure_step, want.verdict.failure_mode)
@@ -536,12 +551,13 @@ def test_batched_tubes_equal_their_own_runs_bitwise(name, spec, tubes, nodes, in
             bits(want.verdict.max_density_fluctuation)
         # run() shares _run_tubes' recording rules, so also check them
         # against the independent whole-lattice stepper
-        dense, failure_step, failure_mode, fluct = dense_run(config)
-        assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in got.snapshots] == \
-            [(n, *bits(rho, u, theta)) for n, rho, u, theta in dense]
+        scored, final, failure_step, failure_mode, fluct = dense_run(config)
+        assert bits(*fields) == bits(*scored)
+        assert snapshot_bits(got.final) == snapshot_bits(final)
         assert (got.verdict.failure_step, got.verdict.failure_mode) == \
             (failure_step, failure_mode)
         assert bits(got.verdict.max_density_fluctuation) == bits(fluct)
+    assert sorted(bits(*batched)) == sorted(bits(*alone))
 
 
 @pytest.mark.parametrize("interface", [1, 29])
@@ -554,10 +570,11 @@ def test_a_cut_lattice_keeps_the_config_minimum(interface, steps):
                              interface=interface, steps=steps)
     lattice, _ = _light_cone(config, steps)
     assert lattice.nodes == 7
-    want, failure_step, failure_mode, fluct = dense_run(config)
-    result = run(config)
-    assert [(s.step, *bits(s.rho, s.u, s.theta)) for s in result.snapshots] == \
-        [(n, *bits(rho, u, theta)) for n, rho, u, theta in want]
+    scored, final, failure_step, failure_mode, fluct = dense_run(config)
+    with scored_fields() as fields:
+        result = run(config)
+    assert bits(*fields) == bits(*scored)
+    assert snapshot_bits(result.final) == snapshot_bits(final)
     assert (result.verdict.failure_step, result.verdict.failure_mode) == \
         (failure_step, failure_mode)
     assert bits(result.verdict.max_density_fluctuation) == bits(fluct)

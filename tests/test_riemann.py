@@ -147,6 +147,33 @@ def test_jump_condition_residuals():
             assert abs(value) < 1e-10, (rho_bar, name, value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rho_bar=st.one_of(st.floats(0.3, 20.0), st.floats(1e-300, 1e308)))
+# a converged Newton step used to land on a bracket end and be replaced by
+# ~35 bisections (46, 40, 49 and 42 iterations); below rho_bar ~1e-155 the
+# shock branch's ak / (p + bk) overflowed and forced bisection throughout
+@example(rho_bar=1.5)
+@example(rho_bar=6.0)
+@example(rho_bar=12.0)
+@example(rho_bar=100.0)
+@example(rho_bar=1e-160)
+@example(rho_bar=1e-300)
+@example(rho_bar=1e308)
+@example(rho_bar=1.0)
+def test_a_shock_tube_solve_stops_once_newton_converges(rho_bar):
+    # the tubes simulate runs, dense on either side; relative defects of
+    # 1e-13 allow for 1 / gamma's rounding in pr ** (1 / gamma) at pressure
+    # ratios near 1e-300
+    dense, dilute = GasState(rho_bar, 0.0, 1.0), GasState(1.0, 0.0, 1.0)
+    left, right = solve_riemann(dense, dilute), solve_riemann(dilute, dense)
+    for sol in (left, right):
+        assert sol.iterations <= 5
+        for name, defect in shock_residuals(sol, relative=True).items():
+            assert abs(defect) <= 1e-13, (name, defect)
+    assert left.p_star.hex() == right.p_star.hex()
+    assert left.u_star == -right.u_star  # 0.0 at rho_bar 1, of either sign
+
+
 def test_entropy_and_invariant_across_left_rarefaction():
     gamma = 3.0
     left = GasState(rho=3.0, u=0.0, theta=1.0)

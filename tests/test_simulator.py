@@ -14,6 +14,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
@@ -22,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import drift
+from oracles import drift, scored_fields
 from thermolb import resolve_catalog, simulator
 from thermolb.cli import EXIT_OK, main
 from thermolb.equilibrium import ExpansionSpec
@@ -565,32 +566,86 @@ def test_extract_plateaus_rejects_probes_near_the_edge():
 # ------------------------------------------------------ runs and scans
 
 
+def whole_lattice_rho(config, steps):
+    """rho after each of the first `steps` steps of config's whole lattice."""
+    state = init_shock_tube(config)
+    rho = {}
+    for n in range(1, steps + 1):
+        rho[n] = step(state, config).rho.copy()
+    return rho
+
+
+def float_bits(*arrays):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
 def test_snapshot_cadence(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2, steps=35, snapshot_interval=10)
-    result = run(config)
-    assert [s.step for s in result.snapshots] == [10, 20, 30, 35]
-    assert result.final is result.snapshots[-1]
-    assert result.steps_requested == 35
-    even = run(replace(config, steps=30))
-    assert [s.step for s in even.snapshots] == [10, 20, 30]
-    only_final = run(replace(config, steps=30, snapshot_interval=None))
-    assert [s.step for s in only_final.snapshots] == [30]
+    rho = whole_lattice_rho(config, 35)
+    with scored_fields() as fields:
+        result = run(config)
+    # recorded and scored every 10 steps and at the horizon; the last is kept
+    assert float_bits(*fields) == float_bits(*(rho[n] for n in (10, 20, 30, 35)))
+    assert result.final.step == 35 and result.steps_requested == 35
+    assert float_bits(result.final.rho) == float_bits(rho[35])
+    margin = config.band_width + 1
+    assert float_bits(result.verdict.max_density_fluctuation) == float_bits(
+        max(density_fluctuation(rho[n], margin) for n in (10, 20, 30, 35)))
+    with scored_fields() as fields:
+        even = run(replace(config, steps=30))
+    assert float_bits(*fields) == float_bits(rho[10], rho[20], rho[30])
+    assert even.final.step == 30
+    with scored_fields() as fields:
+        only_final = run(replace(config, steps=30, snapshot_interval=None))
+    assert float_bits(*fields) == float_bits(rho[30])
+    assert only_final.final.step == 30
+    assert float_bits(only_final.final.rho) == float_bits(rho[30])
     assert np.array_equal(only_final.final.pressure_reported,
                           only_final.final.rho * only_final.final.theta)
 
 
+def test_recording_every_step_keeps_one_snapshot(q7):
+    # a run used to keep every recorded full-lattice snapshot until it
+    # ended: 100 of them here, 2.4 MB per step at 1e5 nodes
+    config = ShockTubeConfig(model=q7, expansion=TE3, nodes=20000, interface=10000,
+                             steps=100)
+    run(config)  # the model's equilibrium tables are built outside the trace
+
+    def peak_bytes(interval):
+        tracemalloc.start()
+        try:
+            run(replace(config, snapshot_interval=interval))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    snapshot = 3 * 8 * config.nodes  # rho, u and theta of the whole lattice
+    once, every_step = peak_bytes(None), peak_bytes(1)
+    # at most the snapshot kept and the one being recorded at a time
+    assert every_step <= once + snapshot, (every_step - once) / snapshot
+
+
 def test_instability_verdict_and_post_mortem(q5):
     config = ShockTubeConfig(model=q5, expansion=HE3, rho_bar=4.0, steps=80)
-    result = run(config)
+    rho = whole_lattice_rho(config, 35)
+    with scored_fields() as fields:
+        result = run(config)
     verdict = result.verdict
     assert not verdict.stable
     assert verdict.failure_mode == "non_positive_density"
     assert verdict.failure_step == 35
-    # no snapshot interval: the failing state is kept for post-mortems
-    assert [s.step for s in result.snapshots] == [35]
+    # no snapshot interval: the failing state is kept for post-mortems,
+    # unscored
+    assert fields == [] and verdict.max_density_fluctuation == 0.0
+    assert result.final.step == 35
+    assert float_bits(result.final.rho) == float_bits(rho[35])
+    assert (result.final.rho <= 0.0).any()
     # with an interval only healthy snapshots are recorded
-    sampled = run(replace(config, snapshot_interval=10))
-    assert [s.step for s in sampled.snapshots] == [10, 20, 30]
+    with scored_fields() as fields:
+        sampled = run(replace(config, snapshot_interval=10))
+    assert float_bits(*fields) == float_bits(rho[10], rho[20], rho[30])
+    assert sampled.final.step == 30
+    assert float_bits(sampled.final.rho) == float_bits(rho[30])
     assert sampled.verdict.failure_step == 35
 
 
