@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import hashlib
@@ -20,6 +21,8 @@ import math
 import os
 import stat
 import sys
+import threading
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,15 +48,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_all(outputs: list[tuple[str | None, str | bytes]]) -> None:
+def _write_all(outputs: list[tuple[str | None, str | bytes | Callable]]) -> None:
     """Write each (path, text or bytes), a path of None or "-" meaning
-    stdout, all or nothing.  A target that is missing or a regular file
-    (through any symlink) is written to a temporary sibling, and the
-    siblings replace their targets, keeping an existing file's mode, once
-    every one is written.  An existing target of another kind (a device, a
-    FIFO), or a file whose directory the run may not write, is written in
-    place after that, and stdout comes last.  An error names the path
-    asked for."""
+    stdout, all or nothing; a function of no arguments in place of the
+    text is called when its output is written.  A target that is missing
+    or a regular file (through any symlink) is written to a temporary
+    sibling, and the siblings replace their targets, keeping an existing
+    file's mode, once every one is written.  An existing target of another
+    kind (a device, a FIFO), or a file whose directory the run may not
+    write, is written in place after that, and stdout comes last.  An
+    error names the path asked for."""
     staged, in_place = [], []
     try:
         for i, (path, text) in enumerate(outputs):
@@ -75,6 +79,7 @@ def _write_all(outputs: list[tuple[str | None, str | bytes]]) -> None:
                 # the index keeps two outputs to one path apart; the last one wins
                 temp = target.with_name(f".{target.name}.{os.getpid()}.{i}.tmp")
                 staged.append((temp, target))
+                text = text() if callable(text) else text
                 (temp.write_bytes if isinstance(text, bytes) else temp.write_text)(text)
                 if mode is not None:
                     os.chmod(temp, stat.S_IMODE(mode))
@@ -86,12 +91,30 @@ def _write_all(outputs: list[tuple[str | None, str | bytes]]) -> None:
         for temp, _ in staged:
             temp.unlink(missing_ok=True)
     for path, text in in_place:
-        path = Path(path)
+        path, text = Path(path), text() if callable(text) else text
         (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
     for path, text in outputs:
         if path in (None, "-"):
+            text = text() if callable(text) else text
             sys.stdout.flush()  # text written before bytes goes first
             (sys.stdout.buffer if isinstance(text, bytes) else sys.stdout).write(text)
+
+
+@contextlib.contextmanager
+def _sha256_beside(data):
+    """Hash data on a second thread while the block runs (hashlib releases
+    the GIL), and yield a function that waits for the hex digest.  The
+    thread is joined when the block ends, on every path."""
+    sha = hashlib.sha256()
+    thread = threading.Thread(target=sha.update, args=(data,))
+    thread.start()
+    def digest() -> str:
+        thread.join()
+        return sha.hexdigest()
+    try:
+        yield digest
+    finally:
+        thread.join()
 
 
 def _json_text(payload) -> str:
@@ -346,6 +369,23 @@ def cmd_verify(args) -> int:
 _SNAPSHOT_HEADER = "X,rho,u,theta,p\n"
 _SNAPSHOT_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
 _STRETCH_ROWS = 16  # the reader's Python steps: at most one per 16 rows
+_STRETCH_MAX = 2 ** 14  # rows, which bound the memory of a stretch's shifted compare
+# "0000".."9999", one row each
+_DIGIT_TABLE = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+
+
+def _index_digits(lo: int, hi: int, w: int) -> np.ndarray:
+    """The indices lo..hi-1, which all print with w digits, as a (hi - lo, w)
+    uint8 array of their ASCII digits.  Indices that differ only in their
+    last four digits take those from one slice of _DIGIT_TABLE and share
+    the digits before them."""
+    out = np.empty((hi - lo, w), dtype=np.uint8)
+    for at in range(lo - lo % 10_000, hi, 10_000):
+        i, j = max(at, lo), min(at + 10_000, hi)
+        out[i - lo:j - lo, -min(w, 4):] = _DIGIT_TABLE[i - at:j - at, -min(w, 4):]
+        if w > 4:
+            out[i - lo:j - lo, :-4] = np.frombuffer(b"%d" % (at // 10_000), dtype=np.uint8)
+    return out
 
 
 def _digits_before(i):
@@ -364,9 +404,10 @@ def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
     index.  The table is one uint8 buffer of the exact size, which the
     heads' lengths give: the heads are copied in back to back, and each
     run's other rows are filled as (rows, length) views of the buffer, one
-    per stretch of indices with the same digit count.  Rows are compared
-    by their float64 bit patterns, because -0.0 == 0.0 prints differently
-    and a NaN never compares equal."""
+    per stretch of indices with the same digit count, whose digits
+    _index_digits gives.  Rows are compared by their float64 bit patterns,
+    because -0.0 == 0.0 prints differently and a NaN never compares
+    equal."""
     cols = (rho, u, theta, rho * theta)
     first = np.ones(len(rho), dtype=bool)
     first[1:] = np.logical_or.reduce([c.view(np.int64)[1:] != c.view(np.int64)[:-1]
@@ -396,10 +437,7 @@ def _snapshot_csv(rho: np.ndarray, u: np.ndarray, theta: np.ndarray) -> str:
             hi = min(end, 10 ** w)
             block = out[pos:pos + (hi - lo) * (w + tail)].reshape(hi - lo, w + tail)
             block[:, w:] = heads[done - tail:done]
-            index = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
-            for col in range(w - 1, -1, -1):
-                index, digit = np.divmod(index, 10)
-                block[:, col] = digit + ord("0")
+            block[:, :w] = _index_digits(lo, hi, w)
             pos, lo = pos + block.size, hi
     out[at[-1] - (len(heads) - done):] = heads[done:]
     return str(out, "ascii")
@@ -433,26 +471,26 @@ def cmd_simulate(args) -> int:
     result = run(config)
     final = result.final
     csv_data = _snapshot_csv(final.rho, final.u, final.theta).encode()
-    digest = hashlib.sha256(csv_data).hexdigest()
-    plateaus = extract_plateaus(result.final, *config.probes)
-    manifest = {
-        "command": "simulate",
-        "version": __version__,
-        "config": _config_dict(config, result.steps_requested),
-        "verdict": {
-            "stable": result.verdict.stable,
-            "failure_step": result.verdict.failure_step,
-            "failure_mode": result.verdict.failure_mode,
-            "max_density_fluctuation": result.verdict.max_density_fluctuation,
-        },
-        "plateaus": plateaus.as_dict(),
-        "final_step": result.final.step,
-        "output_sha256": digest,
-    }
-    outputs = [(args.csv, csv_data)] if args.csv else []
-    if args.manifest or not args.csv:
-        outputs.append((args.manifest or None, _json_text(manifest)))
-    _write_all(outputs)  # a failed write leaves neither file
+    with _sha256_beside(csv_data) as digest:
+        plateaus = extract_plateaus(result.final, *config.probes)
+        manifest = {
+            "command": "simulate",
+            "version": __version__,
+            "config": _config_dict(config, result.steps_requested),
+            "verdict": {
+                "stable": result.verdict.stable,
+                "failure_step": result.verdict.failure_step,
+                "failure_mode": result.verdict.failure_mode,
+                "max_density_fluctuation": result.verdict.max_density_fluctuation,
+            },
+            "plateaus": plateaus.as_dict(),
+            "final_step": result.final.step,
+        }
+        outputs = [(args.csv, csv_data)] if args.csv else []
+        if args.manifest or not args.csv:  # built once the CSV is staged
+            outputs.append((args.manifest or None,
+                            lambda: _json_text({**manifest, "output_sha256": digest()})))
+        _write_all(outputs)  # a failed write leaves neither file
     if args.expect_stable and not result.verdict.stable:
         print(f"expectation violated: run unstable at step "
               f"{result.verdict.failure_step} ({result.verdict.failure_mode})",
@@ -505,24 +543,32 @@ def cmd_riemann(args) -> int:
 
 def _read_snapshot_csv(path: str):
     """The (rho, u, theta, p) columns of a snapshot CSV as an (n, 4) array,
-    and the sha256 of the file's bytes, read once.
-
-    Row i must start with i as the writer prints it and a comma; lines end
-    in LF or CRLF, the last one may end in neither.  A row whose text
-    after the index is byte-identical to the row above has that row's
-    values, so only the first row of each such run goes through
-    np.loadtxt and the result is repeated: the floats are the ones
-    parsing every row gives.  Runs are found on (rows, length) views of
-    the file's one uint8 buffer, over stretches of at least
-    _STRETCH_ROWS rows of one byte length and one index width; a row
-    outside such a stretch is parsed like a run's first row."""
+    and the sha256 of the file's bytes, read once and hashed on a second
+    thread while _parse_snapshot_csv parses them."""
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         buf = buf[:fh.readinto(buf)]
         rest = fh.read()  # a pipe, or a file that grew
     if rest:
         buf = np.concatenate((buf, np.frombuffer(rest, dtype=np.uint8)))
-    digest = hashlib.sha256(buf).hexdigest()
+    with _sha256_beside(buf) as digest:
+        return _parse_snapshot_csv(path, buf), digest()
+
+
+def _parse_snapshot_csv(path: str, buf: np.ndarray) -> np.ndarray:
+    """The (n, 4) columns of the snapshot CSV whose bytes buf holds.
+
+    Row i must start with i as the writer prints it and a comma; lines end
+    in LF or CRLF, the last one may end in neither.  A row whose text
+    after the index is byte-identical to the row above has that row's
+    values, so only the first row of each such run goes through
+    np.loadtxt and the result is repeated: the floats are the ones
+    parsing every row gives.  Runs are found in stretches of at least
+    _STRETCH_ROWS rows of one byte length and one index width: a
+    stretch's (rows, length) view of buf has its indices compared with
+    _index_digits, and its bytes with themselves one row on.  A row
+    outside a stretch has its index read on its own and is parsed like a
+    run's first row."""
     ends = np.flatnonzero(buf == ord("\n"))
     if not len(ends) or ends[-1] != len(buf) - 1:
         ends = np.append(ends, len(buf))  # no final newline
@@ -534,34 +580,47 @@ def _read_snapshot_csv(path: str):
     starts, ends = ends[:-1] + 1, ends[1:]
     n = len(ends)
     if n == 0:
-        return np.empty((0, 4)), digest
-    # rows lo..hi-1 have w-digit indices; the window of a row shorter than
-    # w + 1 bytes holds the newline that ends it or the one before it
+        return np.empty((0, 4))
+    # rows lo..hi-1 have w-digit indices
     bounds = [0, *(10 ** w for w in range(1, len(str(n - 1)))), n]
-    ok = np.empty(n, dtype=bool)
+    size = ends - starts
+    cut = np.unique(np.concatenate((np.flatnonzero(np.diff(size)) + 1, bounds,
+                                    np.arange(0, n, _STRETCH_MAX))))
+    long = np.flatnonzero(np.diff(cut) >= _STRETCH_ROWS)
+    ok = np.zeros(n, dtype=bool)  # the rows of each stretch whose indices are right
+    same = np.zeros(n, dtype=bool)
+    for lo, hi in zip(cut[long].tolist(), cut[long + 1].tolist()):
+        w, line = len(str(lo)), int(size[lo])
+        rows = np.ndarray((hi - lo, line), np.uint8, buf, starts[lo], (line + 1, 1))
+        if not (line > w and (rows[:, w] == ord(",")).all()
+                and np.array_equal(rows[:, :w], _index_digits(lo, hi, w))):
+            continue  # the check of single rows below names the first bad one
+        ok[lo:hi] = True
+        # a row repeats the one above when its bytes from the comma on are
+        # equal: compare the stretch with itself one row on, index columns cleared
+        at, m = int(starts[lo]), (hi - lo - 1) * (line + 1)
+        differs = np.zeros((hi - lo - 1, line + 1), dtype=bool)
+        np.not_equal(buf[at + line + 1:at + line + m], buf[at:at + m - 1],
+                     out=differs.reshape(-1)[:-1])
+        differs[:, :w] = False
+        same[lo + 1:hi] = True
+        same[lo + 1 + np.flatnonzero(differs) // (line + 1)] = False
+    # the other rows one by one: the window of a row shorter than w + 1
+    # bytes holds the newline that ends it or the one before it
     for w, lo, hi in zip(range(1, len(bounds)), bounds, bounds[1:]):
-        head = sliding_window_view(buf, w + 1)[np.minimum(starts[lo:hi], len(buf) - w - 1)]
-        ok[lo:hi] = head[:, w] == ord(",")
-        index = np.zeros(hi - lo, dtype=np.int64)
+        rows = lo + np.flatnonzero(~ok[lo:hi])
+        head = sliding_window_view(buf, w + 1)[np.minimum(starts[rows], len(buf) - w - 1)]
+        right = head[:, w] == ord(",")
+        index = np.zeros(len(rows), dtype=np.int64)
         for k in range(w):
             digit = head[:, k] - ord("0")  # uint8: any other byte wraps to >= 10
-            ok[lo:hi] &= digit < 10
+            right &= digit < 10
             index = index * 10 + digit
-        ok[lo:hi] &= index == np.arange(lo, hi)
+        ok[rows] = right & (index == rows)
     if not ok.all():
         k = int(np.argmin(ok))
         index = buf[starts[k]:ends[k]].tobytes().split(b",")[0].decode(errors="replace")
         raise ValueError(f"{path} line {k + 2}: X is {index!r}, expected {k}")
-    # a row repeats the one above when its bytes from the comma on are
-    # equal; rows lo..hi-1 of one stretch are the rows of a (rows, size) view
-    size = ends - starts
-    cut = np.unique(np.concatenate(([0], np.flatnonzero(np.diff(size)) + 1, bounds[1:])))
-    long = np.flatnonzero(np.diff(cut) >= _STRETCH_ROWS)
-    same = np.zeros(n, dtype=bool)
-    for lo, hi in zip(cut[long].tolist(), cut[long + 1].tolist()):
-        w, line = len(str(lo)), int(size[lo])
-        rows = sliding_window_view(buf, line)[starts[lo]:starts[hi - 1] + 1:line + 1, w:]
-        same[lo + 1:hi] = (rows[1:] == rows[:-1]).all(axis=1)
     heads = np.flatnonzero(~same)
     # parse each block of consecutive run heads as one slice of the file.
     # The text stream hands loadtxt one line at a time, split at LF only,
@@ -580,7 +639,7 @@ def _read_snapshot_csv(path: str):
             except ValueError as exc:
                 raise ValueError(f"{path} line {k + 2}: {exc}") from None
         raise
-    return np.repeat(values[:, 1:], np.diff(heads, append=n), axis=0), digest
+    return np.repeat(values[:, 1:], np.diff(heads, append=n), axis=0)
 
 
 def _parse_rows(lines) -> np.ndarray:

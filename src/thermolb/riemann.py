@@ -115,7 +115,10 @@ def _two_rarefaction_guess(left: GasState, right: GasState, gamma: float) -> flo
     z = (gamma - 1.0) / (2.0 * gamma)
     num = al + ar - 0.5 * (gamma - 1.0) * (right.u - left.u)
     den = al / pl**z + ar / pr**z
-    return (num / den) ** (1.0 / z)
+    try:
+        return (num / den) ** (1.0 / z)
+    except OverflowError:  # above every float: start at the top of the bracket
+        return math.inf
 
 
 def solve_riemann(left: GasState, right: GasState,
@@ -124,8 +127,9 @@ def solve_riemann(left: GasState, right: GasState,
 
     Newton iteration on the star pressure with a guarded bisection
     fallback; converges to relative pressure increments below _TOL.
-    Raises ValueError when a sound speed is 0 or inf in floats, and
-    VacuumError when the states separate into vacuum.
+    Raises ValueError when a sound speed is 0 or inf in floats,
+    VacuumError when the states separate into vacuum, and RuntimeError
+    when the star state does not fit in floats.
     """
     if not 1.0 < gamma < math.inf:
         raise ValueError(f"adiabatic index must be finite and exceed 1, got {gamma}")
@@ -136,7 +140,21 @@ def solve_riemann(left: GasState, right: GasState,
     if 2.0 * (al + ar) / (gamma - 1.0) <= du:
         raise VacuumError(
             f"velocity jump {du} exceeds the pressure positivity limit")
+    try:
+        s = _solve(left, right, gamma, du)
+    except (ZeroDivisionError, OverflowError):  # 0.0 ** -x, x / 0.0, or above every float
+        s = None
+    # every reported value finite, and both star densities, which theta divides by, > 0
+    if s is None or not (min(s.rho_star_left, s.rho_star_right) > 0.0 and all(map(
+            math.isfinite, (2.0 * s.p_star, s.u_star, s.rho_star_left, s.rho_star_right,
+                            s.theta_star_left, s.theta_star_right, s.left_wave.head,
+                            s.left_wave.tail, s.right_wave.head, s.right_wave.tail)))):
+        raise RuntimeError("the star state of these two gas states does not fit in floats")
+    return s
 
+
+def _solve(left: GasState, right: GasState, gamma: float, du: float) -> RiemannSolution:
+    """solve_riemann's star state and waves, on its checked inputs."""
     def total(p):
         fl, dfl = _pressure_function(p, left, gamma)
         fr, dfr = _pressure_function(p, right, gamma)

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from thermolb import simulator
 from thermolb.cli import (EXIT_EXPECTATION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                          _csv_lines, _read_snapshot_csv, _snapshot_csv, build_parser,
-                          main)
+                          _csv_lines, _index_digits, _read_snapshot_csv, _snapshot_csv,
+                          build_parser, main)
 from thermolb.equilibrium import ExpansionSpec, expand
 from thermolb.riemann import GasState, sample_profile, solve_riemann
 
@@ -892,6 +892,14 @@ def loadtxt_reader(path):
          bumped=None)  # a long CRLF run
 @example(runs=[(40, (11, 0, 11))], newline="\r\n", final_newline=True,
          bumped=25)  # rows 24-26 differ only in row 25's last byte
+@example(runs=[(1, (11, 0, 0)), (1, (0, 0, 0))] * 20, newline="\n", final_newline=True,
+         bumped=None)  # rows 10-39 differ from the row above only in the byte after the comma
+@example(runs=[(39, (11, 0, 11)), (1, (0, 0, 11))], newline="\n", final_newline=False,
+         bumped=None)  # the last row of a stretch, and of the file, differs
+@example(runs=[(30, (11, 0, 11)), (1, (0, 0, 11)), (5, (12, 0, 11))], newline="\n",
+         final_newline=True, bumped=None)  # the last row of a stretch differs
+@example(runs=[(40, (16, 13, 14))], newline="\r\n", final_newline=False,
+         bumped=None)  # a CRLF stretch ends the file, with no final newline
 def test_snapshot_reader_matches_parsing_every_row(tmp_path_factory, runs, newline,
                                                    final_newline, bumped):
     rho, u, theta = snapshot_columns(runs)
@@ -916,6 +924,32 @@ def test_snapshot_reader_matches_parsing_every_row(tmp_path_factory, runs, newli
         assert np.array_equal(cols.view(np.uint64), loadtxt_reader(path).view(np.uint64))
 
 
+@st.composite
+def index_ranges(draw):
+    """(lo, hi) of one digit count, just below or just above 10, 10**4 or 10**5."""
+    edge = draw(st.sampled_from([10, 10 ** 4, 10 ** 5]))
+    if draw(st.booleans()):
+        lo = draw(st.integers(max(edge // 10 if edge > 10 else 0, edge - 30_000), edge - 1))
+        return lo, draw(st.integers(lo + 1, edge))
+    lo = draw(st.integers(edge, min(10 * edge - 1, edge + 30_000)))
+    return lo, draw(st.integers(lo + 1, min(10 * edge, lo + 30_000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=index_ranges())
+@example(bounds=(0, 10))
+@example(bounds=(9_990, 10_000))
+@example(bounds=(10_000, 30_001))  # over the 10,000 blocks of the digit table
+@example(bounds=(99_999, 100_000))
+@example(bounds=(100_000, 100_001))
+def test_index_digits_print_each_index_like_str(bounds):
+    lo, hi = bounds
+    w = len(str(lo))
+    digits = _index_digits(lo, hi, w)
+    assert digits.shape == (hi - lo, w) and digits.dtype == np.uint8
+    assert digits.tobytes() == "".join(map(str, range(lo, hi))).encode()
+
+
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     argv, csv_path, manifest_path = simulate_args(tmp_path_factory.mktemp("run"), "run",
@@ -929,6 +963,8 @@ def _edit_rows(lines, edit):
     lines = list(lines)
     if edit == "swapped":
         lines[101], lines[102] = lines[102], lines[101]
+    elif edit == "deep-index":  # inside the stretch of rows 560-999, 11 bytes each
+        lines[621] = "630," + lines[621].split(",", 1)[1]
     elif edit == "gap":  # rows 500.. renumbered from 501
         lines[501:] = [f"{i + 1},{line.split(',', 1)[1]}" for i, line in
                        enumerate(lines[501:], start=500)]
@@ -959,6 +995,7 @@ def _edit_rows(lines, edit):
 @pytest.mark.parametrize("edit, line, message", [
     ("swapped", 102, "X is '101', expected 100"),
     ("gap", 502, "X is '501', expected 500"),
+    ("deep-index", 622, "X is '630', expected 620"),
     ("fraction", 3, "X is '1.5', expected 1"),
     ("leading-zero", 9, "X is '07', expected 7"),
     ("plus", 9, "X is '+7', expected 7"),
@@ -1070,6 +1107,34 @@ def test_riemann_checks_its_inputs_before_solving(tmp_path, capsys, flags):
     assert main(argv + flags) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists() and not prof.exists()
+
+
+@pytest.mark.parametrize("left, right, gamma", [
+    # p / p_left underflows to 0 in the rarefaction branch: 0.0 ** -x
+    ("8.508699054647583e+239,0,1.8757087782972216e-67",
+     "1.8012800371728355e-268,-0.8766289364193529,1.872815618141331e+18", "3"),
+    # the right star density is NaN, the right shock speed inf
+    ("1.379805651985632e-138,0,1.580607737320113e+266",
+     "1.871241962048988e-129,0,9.664666290389548e-133", "1.4"),
+], ids=["pressure-ratio-underflows", "star-density-nan"])
+def test_riemann_star_state_outside_the_float_range_is_one_failure_line(run_cli, left,
+                                                                         right, gamma):
+    # these ended in a ZeroDivisionError traceback, or in NaN and Infinity
+    # tokens in the JSON with exit 0
+    assert run_cli(["riemann", "--left", left, "--right", right, "--gamma", gamma]) == (
+        EXIT_NUMERICAL, "",
+        "failure: the star state of these two gas states does not fit in floats\n")
+
+
+def test_riemann_two_rarefaction_guess_above_every_float_starts_at_the_bracket(run_cli):
+    # (num / den) ** (1 / z) overflowed at gamma 1.0001, a traceback; two
+    # strong shocks meet, and p* nears the strong-shock (gamma + 1) / 2 * rho * u**2
+    code, out, err = run_cli(["riemann", "--left", "1,5000,1", "--right", "1,-5000,1",
+                              "--gamma", "1.0001"])
+    payload = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+    assert (code, err, payload["u_star"]) == (EXIT_OK, "", 0.0)
+    assert payload["p_star_physical"] == pytest.approx(1.00005 * 5000 ** 2, rel=1e-6)
+    assert payload["left_wave"]["kind"] == payload["right_wave"]["kind"] == "shock"
 
 
 def test_riemann_vacuum_is_a_numerical_failure(run_cli):

@@ -10,10 +10,11 @@ the arrays are traversed) must reproduce them as well.  A changed digest
 means changed output, not noise.
 """
 import hashlib
+import threading
 
 import pytest
 
-from thermolb.cli import EXIT_EXPECTATION, EXIT_OK, main
+from thermolb.cli import EXIT_EXPECTATION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -216,3 +217,38 @@ def test_simulator_output_bytes_are_unchanged(name, tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     got = _output_digests(argv, code, digests, tmp_path, capsys, PRELUDES.get(name, ()))
     assert got == digests
+
+
+SNAPSHOT = SIMULATOR_CASES["simulate-q7-taylor3"][2]["s.csv"]
+REPORT = SIMULATOR_CASES["compare"][2]["c.json"]
+# (argv, exit code, stdout sha256, stderr); simulate and compare hash
+# their snapshot on a second thread, a failed write or read included
+THREAD_CASES = {
+    "simulate-unwritable-manifest": (
+        ["simulate", "--csv", "s.csv", "--manifest", "nodir/m.json", *Q7_TAYLOR3[5:]],
+        EXIT_NUMERICAL, EMPTY,
+        "failure: [Errno 2] No such file or directory: 'nodir/m.json'\n"),
+    "simulate-csv-to-stdout": (
+        ["simulate", "--csv", "-", *Q7_TAYLOR3[5:]], EXIT_OK, SNAPSHOT, ""),
+    "compare-bad-header": (
+        ["compare", "--sim", "bad.csv", "--manifest", "m.json", "--out", "c.json"],
+        EXIT_USAGE, EMPTY,
+        "error: bad.csv line 1: expected the header 'X,rho,u,theta,p', found 'x,y'\n"),
+    "compare": (COMPARE, EXIT_OK, EMPTY, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_CASES))
+def test_no_hash_thread_outlives_a_command(name, tmp_path, monkeypatch, run_cli):
+    argv, code, stdout, stderr = THREAD_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(Q7_TAYLOR3) == EXIT_OK
+    (tmp_path / "bad.csv").write_text("x,y\n0,1\n")
+    threads = threading.active_count()
+    got, out, err = run_cli(argv)
+    assert threading.active_count() == threads
+    assert (got, _sha256(out.encode()), err) == (code, stdout, stderr)
+    # a failed manifest write leaves the snapshot of the first run as it was
+    assert _sha256((tmp_path / "s.csv").read_bytes()) == SNAPSHOT
+    if name == "compare":
+        assert _sha256((tmp_path / "c.json").read_bytes()) == REPORT
