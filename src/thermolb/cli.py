@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import hashlib
@@ -477,12 +478,7 @@ def cmd_simulate(args) -> int:
             "command": "simulate",
             "version": __version__,
             "config": _config_dict(config, result.steps_requested),
-            "verdict": {
-                "stable": result.verdict.stable,
-                "failure_step": result.verdict.failure_step,
-                "failure_mode": result.verdict.failure_mode,
-                "max_density_fluctuation": result.verdict.max_density_fluctuation,
-            },
+            "verdict": dataclasses.asdict(result.verdict),
             "plateaus": plateaus.as_dict(),
             "final_step": result.final.step,
         }
@@ -533,7 +529,8 @@ def cmd_riemann(args) -> int:
     }
     outputs = [(args.out, _json_text(payload))]
     if args.csv:
-        x = (np.arange(args.nodes) - args.interface) * args.dx
+        with np.errstate(over="ignore"):  # sample_profile rejects an inf position
+            x = (np.arange(args.nodes) - args.interface) * args.dx
         outputs.append((args.csv, _snapshot_csv(*sample_profile(sol, x, args.time))))
     _write_all(outputs)  # a failed write leaves neither file
     return EXIT_OK
@@ -681,7 +678,8 @@ def cmd_compare(args) -> int:
               f"{args.manifest} records", file=sys.stderr)
     sol = solve_riemann(config.left_state, config.right_state)
     # the jump lies between nodes interface - 1 and interface
-    x = (np.arange(nodes) - config.interface + 0.5) * config.dx
+    with np.errstate(over="ignore"):  # sample_profile rejects an inf position
+        x = (np.arange(nodes) - config.interface + 0.5) * config.dx
     exact = Snapshot(steps, *sample_profile(sol, x, float(steps)))
     core = slice(band + 1, nodes - band - 1)
     fields = {}
@@ -736,9 +734,11 @@ def cmd_stability_scan(args) -> int:
     taus = [float(t) for t in tau_texts]
     entries = stability_scan(models, specs, rho_bars, taus, steps=args.steps,
                              nodes=args.nodes, workers=args.workers)
-    rows = [[e.model_name, e.expansion, e.rho_bar, e.tau, int(e.stable),
-             e.failure_step if e.failure_step is not None else -1,
-             e.failure_mode or "", e.fluctuation, e.steps] for e in entries]
+    rows = [[e.model_name, e.config.expansion.label, e.config.rho_bar, e.config.tau,
+             int(e.verdict.stable),
+             -1 if e.verdict.failure_step is None else e.verdict.failure_step,
+             e.verdict.failure_mode or "", e.verdict.max_density_fluctuation,
+             e.config.steps] for e in entries]
     _write_all([(args.out, _csv_lines(
         ["model", "expansion", "rho_bar", "tau", "stable", "failure_step",
          "failure_mode", "fluctuation", "steps"], rows))])

@@ -240,13 +240,11 @@ def sample_profile(solution: RiemannSolution, positions: np.ndarray, time: float
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 1 or not np.isfinite(positions).all():
         raise ValueError("sample positions must be a 1-D array of finite numbers")
-    if not time > 0.0:
-        left = positions < 0.0
-        return tuple(np.where(left, getattr(solution.left, name),
-                              getattr(solution.right, name))
-                     for name in ("rho", "u", "theta"))
-    with np.errstate(under="ignore"):  # a tiny xi rounds to its correct value
-        xi = positions / time
+    # xi = x / t: a tiny one rounds to its correct value and a huge one to
+    # its limit, inf, as at time 0 (-inf left of x = 0, +inf from it on)
+    with np.errstate(under="ignore", over="ignore"):
+        xi = (positions / time if time > 0.0
+              else np.where(positions < 0.0, -np.inf, np.inf))
     rho = np.empty_like(xi)
     u = np.empty_like(xi)
     theta = np.empty_like(xi)

@@ -164,6 +164,11 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """A run's health: stable to its horizon, else its first failure's step
+    and mode, and the largest fluctuation score of a healthy snapshot.  0
+    means nothing was scored (a failure before the first snapshot, as in
+    any failed scan row), not a flat profile."""
+
     stable: bool
     failure_step: int | None = None
     failure_mode: str | None = None
@@ -543,35 +548,17 @@ def extract_plateaus(snapshot: Snapshot, probe_low: int,
 
 @dataclass(frozen=True)
 class ScanEntry:
-    """One verdict row of stability_scan, as run() gives it for the row's
-    config.  fluctuation is the largest score of a healthy snapshot, so an
-    unstable row that failed before its final step reports 0: nothing was
-    scored, which does not mean a flat profile."""
+    """One row of stability_scan: its config, whose steps the scan has
+    settled, and the verdict run() gives that config."""
 
     model_name: str
-    expansion: str
-    rho_bar: float
-    tau: float
-    stable: bool
-    failure_step: int | None
-    failure_mode: str | None
-    fluctuation: float
-    steps: int
+    config: ShockTubeConfig
+    verdict: StabilityVerdict
 
 
 def _scan_group(group: tuple[str, list[ShockTubeConfig]]) -> list[ScanEntry]:
-    """The verdict rows of one model and expansion, stepped by _run_tubes."""
-    name, configs = group
-    rows = []
-    for result in _run_tubes(configs):
-        config, verdict = result.config, result.verdict
-        rows.append(ScanEntry(
-            model_name=name, expansion=config.expansion.label,
-            rho_bar=config.rho_bar, tau=config.tau, stable=verdict.stable,
-            failure_step=verdict.failure_step, failure_mode=verdict.failure_mode,
-            fluctuation=verdict.max_density_fluctuation,
-            steps=result.steps_requested))
-    return rows
+    """The rows of one model and expansion, stepped by _run_tubes."""
+    return [ScanEntry(group[0], r.config, r.verdict) for r in _run_tubes(group[1])]
 
 
 def _group_cost(group: tuple[str, list[ShockTubeConfig]]) -> int:

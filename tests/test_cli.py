@@ -1144,6 +1144,27 @@ def test_riemann_vacuum_is_a_numerical_failure(run_cli):
     assert run_cli(["riemann", "--left", "1,0", "--right", "1,0,1"])[0] == EXIT_USAGE
 
 
+def test_riemann_profile_at_a_tiny_time_takes_the_limit_without_a_warning(tmp_path,
+                                                                           run_cli):
+    # x / t overflows to +-inf, its exact limit, and warned on stderr
+    tube = ["riemann", "--left", "3,0,1", "--right", "1,0,1", "--csv", "-",
+            "--nodes", "5", "--interface", "2", "--out", str(tmp_path / "r.json")]
+    code, out, err = run_cli([*tube, "--time", "1e-320"])
+    assert (code, err) == (EXIT_OK, "")
+    rows = out.splitlines()
+    assert rows[1:3] == ["0,3,0,1,3", "1,3,0,1,3"]
+    assert rows[4:] == ["3,1,0,1,1", "4,1,0,1,1"]
+    # x = 0 sits at xi = 0 at every time
+    assert rows[3] == run_cli([*tube, "--time", "1"])[1].splitlines()[3]
+
+
+def test_riemann_positions_past_a_float_are_one_error_line(run_cli):
+    # (i - interface) * dx overflowed with a warning before the error line
+    assert run_cli(["riemann", "--left", "1,0,1", "--right", "1,0,1", "--csv", "-",
+                    "--time", "1", "--nodes", "3", "--dx", "1e308"]) == (
+        EXIT_USAGE, "", "error: sample positions must be a 1-D array of finite numbers\n")
+
+
 @pytest.mark.parametrize("argv, speeds", [
     # the dense state's pressure 0.5 * 5e-324 rounds to 0
     (["simulate", "--model", "q7", "--kind", "taylor", "--order", "3", "--rho-bar",
@@ -1299,6 +1320,17 @@ def test_compare_checks_the_lattice_size_before_use(tmp_path, monkeypatch, capsy
                                  f"{nodes}, interface {interface}\n")
 
 
+def test_compare_positions_past_a_float_are_one_error_line(tmp_path, run_cli):
+    # (i - interface + 0.5) * dx overflowed with a warning before the error line
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
+    assert main(argv) == EXIT_OK
+    manifest = load_json(manifest_path)
+    manifest["config"]["model"]["v2"] = manifest["config"]["dx"] = 1e306
+    manifest_path.write_text(json.dumps(manifest))
+    assert run_cli(["compare", "--sim", str(csv_path), "--manifest", str(manifest_path)]) \
+        == (EXIT_USAGE, "", "error: sample positions must be a 1-D array of finite numbers\n")
+
+
 def test_compare_defaults_to_the_probes_simulate_reports(tmp_path, capsys):
     argv, csv_path, manifest_path = simulate_args(tmp_path, "right", "--steps", "60",
                                                   "--high-side", "right")
@@ -1398,6 +1430,28 @@ def test_stability_scan_csv(tmp_path):
     assert (ok[4], ok[5], ok[6]) == ("1", "-1", "")
     assert (bad[4], bad[5], bad[6]) == ("0", "35", "non_positive_density")
     assert int(ok[8]) == 50
+
+
+def test_simulate_and_stability_scan_give_one_verdict(tmp_path):
+    # q5 hermite:3 holds at rho_bar 3 and fails at 11; a scan row writes a
+    # None failure step as -1 and a None mode as ""
+    scan = tmp_path / "scan.csv"
+    assert main(["stability-scan", "--models", "q5", "--expansions", "hermite:3",
+                 "--rho-bars", "3,11", "--out", str(scan)]) == EXIT_OK
+    _, rows = read_csv(scan)
+    verdicts = []
+    for rho_bar, row in zip(("3", "11"), rows):
+        manifest = tmp_path / f"{rho_bar}.json"
+        assert main(["simulate", "--model", "q5", "--kind", "hermite", "--order", "3",
+                     "--rho-bar", rho_bar, "--allow-unstable",
+                     "--manifest", str(manifest)]) == EXIT_OK
+        verdict = load_json(manifest)["verdict"]
+        step = verdict["failure_step"]
+        assert (row[4], row[5], row[6], repr(float(row[7]))) == (
+            str(int(verdict["stable"])), str(-1 if step is None else step),
+            verdict["failure_mode"] or "", repr(verdict["max_density_fluctuation"]))
+        verdicts.append(verdict["stable"])
+    assert verdicts == [True, False]
 
 
 def test_stability_scan_usage_error(capsys):

@@ -245,7 +245,8 @@ def test_the_runner_collides_only_finite_populations_of_positive_density(monkeyp
     monkeypatch.setattr(simulator.LatticeState, "collide", checked)
     rows = stability_scan([(name, model(name)) for name in ("q5", "q7", "q21")],
                           EXPANSIONS, [0.3, 3.0, 11.0, 13.3], [1.0, 0.8, 0.6], nodes=400)
-    assert {"non_positive_density", "runaway_velocity"} <= {r.failure_mode for r in rows}
+    assert {"non_positive_density", "runaway_velocity"} <= {
+        r.verdict.failure_mode for r in rows}
     assert any(1.0 in omegas and len(omegas) > 1 for omegas in seen)  # mixed lattices
 
 
@@ -499,15 +500,15 @@ def test_scan_rows_equal_run_per_row_bitwise(monkeypatch):
         for row, config in zip(rows, configs):
             result = run(config)
             verdict = result.verdict
-            assert (row.model_name, row.expansion, row.rho_bar, row.tau) == \
-                (name, spec.label, config.rho_bar, config.tau)
-            assert (row.stable, row.failure_step, row.failure_mode, row.steps) == \
-                (verdict.stable, verdict.failure_step, verdict.failure_mode,
-                 result.steps_requested)
-            assert bits(row.fluctuation) == bits(verdict.max_density_fluctuation)
-        cut = _light_cone(configs[0], max(r.steps for r in rows))[0].nodes < nodes
-        drawn.append((cut, steps is None, {r.stable for r in rows},
-                      {r.failure_mode for r in rows}, {c.tau == 1.0 for c in configs}))
+            assert row.model_name == name
+            assert row.config == replace(config, steps=result.steps_requested)
+            assert row.verdict == verdict
+            assert bits(row.verdict.max_density_fluctuation) == \
+                bits(verdict.max_density_fluctuation)
+        cut = _light_cone(configs[0], max(r.config.steps for r in rows))[0].nodes < nodes
+        drawn.append((cut, steps is None, {r.verdict.stable for r in rows},
+                      {r.verdict.failure_mode for r in rows},
+                      {c.tau == 1.0 for c in configs}))
 
     check()
     assert any(cut for cut, *_ in drawn) and any(not cut for cut, *_ in drawn)

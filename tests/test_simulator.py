@@ -300,8 +300,8 @@ def test_worker_count_does_not_change_any_bit(tmp_path):
 
 def scan_bits(rows):
     """Every field of each row, the fluctuation by its float bits."""
-    return [(r.model_name, r.expansion, r.rho_bar, r.tau, r.stable, r.failure_step,
-             r.failure_mode, struct.pack("<d", r.fluctuation), r.steps) for r in rows]
+    return [(r.model_name, r.config, r.verdict,
+             struct.pack("<d", r.verdict.max_density_fluctuation)) for r in rows]
 
 
 class RecordingExecutor:
@@ -351,7 +351,7 @@ def test_scan_rows_are_bitwise_the_same_on_any_worker_count(monkeypatch):
     monkeypatch.setattr(simulator, "_BATCH_NODES", 800)
     for grid in grids:
         rows = {w: stability_scan(models, workers=w, **grid) for w in (1, 2, 3)}
-        assert {r.stable for r in rows[1]} == {True, False}
+        assert {r.verdict.stable for r in rows[1]} == {True, False}
         assert scan_bits(rows[2]) == scan_bits(rows[1])
         assert scan_bits(rows[3]) == scan_bits(rows[1])
     assert sizes == [2, 3, 2, 3]  # workers 2 and 3 of both grids used a pool
@@ -653,9 +653,13 @@ def test_stability_scan_grid(q5):
     entries = stability_scan([("5", q5)], [HE3], [3.0, 4.0], steps=50)
     assert len(entries) == 2
     ok, bad = entries
-    assert (ok.model_name, ok.expansion, ok.rho_bar, ok.tau) == ("5", "hermite:3", 3.0, 1.0)
-    assert ok.stable and ok.failure_mode is None and ok.steps == 50
-    assert ok.fluctuation >= 0.0
-    assert not bad.stable
-    assert bad.failure_step == 35
-    assert bad.failure_mode == "non_positive_density"
+    assert ok.model_name == bad.model_name == "5"
+    assert ok.config.expansion.label == "hermite:3"
+    assert ok.config == ShockTubeConfig(model=q5, expansion=HE3, rho_bar=3.0, tau=1.0,
+                                        nodes=1000, interface=500, steps=50)
+    assert bad.config == replace(ok.config, rho_bar=4.0)
+    assert ok.verdict.stable and ok.verdict.failure_mode is None
+    assert ok.verdict.max_density_fluctuation >= 0.0
+    assert not bad.verdict.stable
+    assert bad.verdict.failure_step == 35
+    assert bad.verdict.failure_mode == "non_positive_density"
