@@ -23,7 +23,7 @@ import os
 import stat
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,20 +49,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_all(outputs: list[tuple[str | None, str | bytes | Callable]]) -> None:
-    """Write each (path, text or bytes), a path of None or "-" meaning
-    stdout, all or nothing; a function of no arguments in place of the
-    text is called when its output is written.  A target that is missing
-    or a regular file (through any symlink) is written to a temporary
-    sibling, and the siblings replace their targets, keeping an existing
-    file's mode, once every one is written.  An existing target of another
-    kind (a device, a FIFO), or a file whose directory the run may not
-    write, is written in place after that, and stdout comes last.  An
-    error names the path asked for."""
-    staged, in_place = [], []
+def _write_all(outputs: Iterable[tuple[str | None, bytes]]) -> None:
+    """Write each (path, bytes) pair, a path of None or "-" meaning stdout,
+    all or nothing; a pair is read once the ones before it are staged.  A
+    target that is missing or a regular file (through any symlink) is
+    written to a temporary sibling, and the siblings replace their
+    targets, keeping an existing file's mode, once every one is written.
+    An existing target of another kind (a device, a FIFO), or a file whose
+    directory the run may not write, is written in place after that, and
+    stdout comes last.  An error names the path asked for."""
+    staged, in_place, to_stdout = [], [], []
     try:
-        for i, (path, text) in enumerate(outputs):
+        for i, (path, data) in enumerate(outputs):
             if path in (None, "-"):
+                to_stdout.append(data)
                 continue
             try:
                 target = Path(path).resolve()
@@ -75,13 +75,12 @@ def _write_all(outputs: list[tuple[str | None, str | bytes | Callable]]) -> None
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 if mode is not None and not (stat.S_ISREG(mode)
                                              and os.access(target.parent, os.W_OK)):
-                    in_place.append((path, text))
+                    in_place.append((path, data))
                     continue
                 # the index keeps two outputs to one path apart; the last one wins
                 temp = target.with_name(f".{target.name}.{os.getpid()}.{i}.tmp")
                 staged.append((temp, target))
-                text = text() if callable(text) else text
-                (temp.write_bytes if isinstance(text, bytes) else temp.write_text)(text)
+                temp.write_bytes(data)
                 if mode is not None:
                     os.chmod(temp, stat.S_IMODE(mode))
             except OSError as exc:
@@ -91,14 +90,11 @@ def _write_all(outputs: list[tuple[str | None, str | bytes | Callable]]) -> None
     finally:
         for temp, _ in staged:
             temp.unlink(missing_ok=True)
-    for path, text in in_place:
-        path, text = Path(path), text() if callable(text) else text
-        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
-    for path, text in outputs:
-        if path in (None, "-"):
-            text = text() if callable(text) else text
-            sys.stdout.flush()  # text written before bytes goes first
-            (sys.stdout.buffer if isinstance(text, bytes) else sys.stdout).write(text)
+    for path, data in in_place:
+        Path(path).write_bytes(data)
+    for data in to_stdout:
+        sys.stdout.flush()  # text printed before goes first
+        sys.stdout.buffer.write(data)
 
 
 @contextlib.contextmanager
@@ -118,16 +114,16 @@ def _sha256_beside(data):
         thread.join()
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _csv_lines(header: list[str], rows) -> str:
+def _csv_lines(header: list[str], rows) -> bytes:
     out = [",".join(header)]
     for row in rows:
         out.append(",".join(_fmt(cell) if isinstance(cell, float) else str(cell)
                             for cell in row))
-    return "\n".join(out) + "\n"
+    return ("\n".join(out) + "\n").encode()
 
 
 def _threshold(text: str) -> float:
@@ -255,7 +251,7 @@ def cmd_derive(args) -> int:
                 f"got {len(ratios_ext)}")
     models = solve_model(RatioTuple.from_ratios(ratios_ext),
                          ghost_threshold=args.ghost_threshold)
-    _write_all([(args.out, _json_text([m.to_json_dict() for m in models]))])
+    _write_all([(args.out, _json_bytes([m.to_json_dict() for m in models]))])
     return EXIT_OK
 
 
@@ -357,7 +353,7 @@ def cmd_verify(args) -> int:
         "passed": report.passed,
         "checks": len(report.checks),
     }
-    _write_all([(args.out, _json_text(payload))])
+    _write_all([(args.out, _json_bytes(payload))])
     if not report.passed:
         print(f"expectation violated: max moment error {report.max_abs_error} "
               f"exceeds tolerance {report.tolerance}", file=sys.stderr)
@@ -472,21 +468,21 @@ def cmd_simulate(args) -> int:
     result = run(config)
     final = result.final
     csv_data = _snapshot_csv(final.rho, final.u, final.theta).encode()
-    with _sha256_beside(csv_data) as digest:
-        plateaus = extract_plateaus(result.final, *config.probes)
-        manifest = {
-            "command": "simulate",
-            "version": __version__,
-            "config": _config_dict(config, result.steps_requested),
-            "verdict": dataclasses.asdict(result.verdict),
-            "plateaus": plateaus.as_dict(),
-            "final_step": result.final.step,
-        }
-        outputs = [(args.csv, csv_data)] if args.csv else []
+    def outputs(digest):
+        if args.csv:
+            yield args.csv, csv_data
         if args.manifest or not args.csv:  # built once the CSV is staged
-            outputs.append((args.manifest or None,
-                            lambda: _json_text({**manifest, "output_sha256": digest()})))
-        _write_all(outputs)  # a failed write leaves neither file
+            yield args.manifest or None, _json_bytes({
+                "command": "simulate",
+                "version": __version__,
+                "config": _config_dict(config, result.steps_requested),
+                "verdict": dataclasses.asdict(result.verdict),
+                "plateaus": extract_plateaus(final, *config.probes).as_dict(),
+                "final_step": final.step,
+                "output_sha256": digest(),
+            })
+    with _sha256_beside(csv_data) as digest:
+        _write_all(outputs(digest))  # a failed write leaves neither file
     if args.expect_stable and not result.verdict.stable:
         print(f"expectation violated: run unstable at step "
               f"{result.verdict.failure_step} ({result.verdict.failure_mode})",
@@ -527,11 +523,11 @@ def cmd_riemann(args) -> int:
                        "tail": sol.right_wave.tail},
         "iterations": sol.iterations,
     }
-    outputs = [(args.out, _json_text(payload))]
+    outputs = [(args.out, _json_bytes(payload))]
     if args.csv:
         with np.errstate(over="ignore"):  # sample_profile rejects an inf position
             x = (np.arange(args.nodes) - args.interface) * args.dx
-        outputs.append((args.csv, _snapshot_csv(*sample_profile(sol, x, args.time))))
+        outputs.append((args.csv, _snapshot_csv(*sample_profile(sol, x, args.time)).encode()))
     _write_all(outputs)  # a failed write leaves neither file
     return EXIT_OK
 
@@ -701,7 +697,7 @@ def cmd_compare(args) -> int:
         for i, tag in enumerate(("low", "high"))}
     payload = {"fields": fields, "plateaus": plateau,
                "time": float(steps), "nodes": nodes}
-    _write_all([(args.out, _json_text(payload))])
+    _write_all([(args.out, _json_bytes(payload))])
     if args.max_plateau_diff is not None:
         # np.max, unlike max(), returns NaN whenever any diff is NaN
         worst = float(np.max([plateau[tag][name]["diff"]
@@ -762,7 +758,7 @@ def cmd_catalog(args) -> int:
             item["model"] = model.to_json_dict()
             item["v2_error"] = abs(model.v2 - entry.v2_reference)
         payload.append(item)
-    _write_all([(args.out, _json_text(payload))])
+    _write_all([(args.out, _json_bytes(payload))])
     return EXIT_OK
 
 

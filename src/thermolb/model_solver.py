@@ -216,12 +216,15 @@ class VelocityModel:
             raise ValueError(f"'ghosts' must be {len(ratios.p) + 1} booleans, got {ghosts!r}")
         if not isinstance(all_positive, bool):
             raise ValueError(f"'all_positive' must be a boolean, got {all_positive!r}")
+        v2 = float(d["v2"])
+        if not 0 < v2 < math.inf:
+            raise ValueError(f"'v2' must be a positive finite number, got {v2!r}")
         s_exact = None
         if "s_exact" in d:
             s_exact = Fraction(d["s_exact"][0], d["s_exact"][1])
         return cls(
             ratios=ratios,
-            v2=float(d["v2"]),
+            v2=v2,
             weights_normalized=tuple(float(w) for w in d["weights_normalized"]),
             residual=float(d["residual"]),
             ghost_flags=tuple(ghosts),

@@ -256,11 +256,11 @@ class LatticeState:
         theta[:] = th
 
     def collide(self) -> np.ndarray:
-        """Post-collision populations: each tube relaxed by its own omega,
-        (1 - omega) * f + omega * feq, in place in f.  When every tube has
-        tau = 1 that is feq itself, returned without the three passes.  A
-        tau = 1 tube of a mixed lattice gets feq's bits as well, since f
-        is finite and feq holds no -0.0 (README, Determinism)."""
+        """Post-collision populations, (1 - omega) * f + omega * feq with each
+        tube's own omega, in place in f; feq itself when every tube has tau = 1.
+        A tau = 1 tube of a mixed lattice gets feq's bits as well (f is finite)
+        but for a -0.0 in feq, which rho < 1 and an underflowing u * u can give,
+        and which may turn +0.0 there (README, Determinism, point 2)."""
         feq = self.eq.populations(self.rho, self.u, self.theta, out=self.feq)
         if (self.omega == 1.0).all():
             return feq

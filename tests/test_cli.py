@@ -593,8 +593,13 @@ def test_model_reference_accepts_a_derive_file(tmp_path, capsys):
     (lambda m: m["ghosts"].pop(), "not a derive model: 'ghosts' must be 3 booleans"),
     (lambda m: m.update(all_positive="no"),
      "not a derive model: 'all_positive' must be a boolean, got 'no'"),
+    # a negated v2 passed the even moment rows, and simulate failed at step 1
+    (lambda m: m.update(v2=-m["v2"]), "not a derive model: 'v2' must be a positive finite"),
+    (lambda m: m.update(v2=math.inf), "not a derive model: 'v2' must be a positive finite"),
+    (lambda m: m.update(v2=math.nan), "not a derive model: 'v2' must be a positive finite"),
 ], ids=["missing-weights", "too-few-weights", "short-s-exact", "infinite-p", "fractional-p",
-        "bool-p", "string-ghosts", "short-ghosts", "string-all-positive"])
+        "bool-p", "string-ghosts", "short-ghosts", "string-all-positive", "negative-v2",
+        "infinite-v2", "nan-v2"])
 def test_misshapen_model_file_is_a_usage_error(tmp_path, capsys, edit, message):
     model_file = tmp_path / "m.json"
     assert main(["derive", "--q", "5", "--ratios", "3", "--out", str(model_file)]) == EXIT_OK
@@ -658,6 +663,27 @@ def test_simulate_prints_the_snapshot_it_would_write(tmp_path, capsysbinary):
     out = capsysbinary.readouterr().out
     assert out == csv_path.read_bytes()
     assert hashlib.sha256(out).hexdigest() == load_json(manifest_path)["output_sha256"]
+
+
+def test_simulate_builds_its_manifest_once_the_csv_is_staged(tmp_path, monkeypatch):
+    # the CSV's hash runs beside its write, so the manifest that waits for
+    # the hash is built only once the CSV's temporary sibling is written
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
+    staged = tmp_path / f".run.csv.{os.getpid()}.0.tmp"
+    seen = []
+
+    def plateaus(*args):
+        seen.append(staged.read_bytes() if staged.exists() else None)
+        return simulator.extract_plateaus(*args)
+
+    monkeypatch.setattr("thermolb.cli.extract_plateaus", plateaus)
+    assert main(argv) == EXIT_OK
+    assert seen == [csv_path.read_bytes()] and not staged.exists()
+    assert load_json(manifest_path)["output_sha256"] == \
+        hashlib.sha256(seen[0]).hexdigest()
+    # a run that writes no manifest finds no plateaus
+    assert main(argv[:argv.index("--manifest")]) == EXIT_OK
+    assert len(seen) == 1
 
 
 def test_right_side_plateaus_mirror_the_left_ones_bit_for_bit(tmp_path):
@@ -789,7 +815,7 @@ def test_snapshot_csv_write_and_read_are_exact_on_awkward_values(tmp_path):
     with np.errstate(under="ignore"):  # p = rho * theta of two subnormals
         text = _snapshot_csv(rho, u, theta)
         rows = [[i, rho[i], u[i], theta[i], rho[i] * theta[i]] for i in range(n)]
-    assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
+    assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows).decode())
     path = tmp_path / "awkward.csv"
     path.write_text(text)
     parsed = np.array([[float(c) for c in line.split(",")[1:]]
@@ -845,7 +871,7 @@ def assert_writes_like_the_row_by_row_writer(runs):
         p = rho * theta
     rows = [[i, *cells] for i, cells in enumerate(zip(rho.tolist(), u.tolist(),
                                                       theta.tolist(), p.tolist()))]
-    assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows))
+    assert_same_text(text, _csv_lines(["X", "rho", "u", "theta", "p"], rows).decode())
 
 
 @st.composite
@@ -1227,6 +1253,25 @@ def test_compare_against_the_exact_solution(tmp_path, capsys):
                  "--manifest", str(manifest_path)]) == EXIT_USAGE
 
 
+def test_compare_reads_a_snapshot_from_a_pipe(tmp_path, run_cli):
+    # a FIFO's size is 0, so its bytes all come after readinto
+    argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
+    assert main(argv) == EXIT_OK
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(csv_path.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    base = ["compare", "--manifest", str(manifest_path), "--out"]
+    assert run_cli(base + [str(tmp_path / "piped.json"), "--sim", str(fifo)]) == \
+        (EXIT_OK, "", "")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert run_cli(base + [str(tmp_path / "file.json"), "--sim", str(csv_path)]) == \
+        (EXIT_OK, "", "")
+    assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+
 def test_compare_warns_when_the_csv_is_not_the_one_the_manifest_records(tmp_path, capsys):
     argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "60")
     assert main(argv) == EXIT_OK
@@ -1280,15 +1325,17 @@ def test_compare_with_a_misshapen_manifest_is_a_usage_error(tmp_path, capsys, ma
     {"final_step": 2.5},
     {"tau": 0.2},
     {"dx": 1.0},
+    {"v2": math.inf, "dx": math.inf},
 ], ids=["dx-string", "high-side-null", "negative-steps", "float-nodes", "bool-interface",
         "infinite-rho-bar", "nan-dx", "high-side-up", "float-final-step", "tau-below-half",
-        "dx-not-the-models"])
+        "dx-not-the-models", "infinite-v2-and-dx"])
 def test_compare_checks_the_manifest_config_before_use(tmp_path, capsys, edit):
     argv, csv_path, manifest_path = simulate_args(tmp_path, "run", "--steps", "20")
     assert main(argv) == EXIT_OK
     manifest = load_json(manifest_path)
     for key, value in edit.items():
-        (manifest if key == "final_step" else manifest["config"])[key] = value
+        {"final_step": manifest, "v2": manifest["config"]["model"]}.get(
+            key, manifest["config"])[key] = value
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["compare", "--sim", str(csv_path),

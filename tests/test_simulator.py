@@ -84,6 +84,16 @@ def test_probes_mirror_with_the_dense_side(q5):
     assert right.probes == (1199 - 650, 1199 - 430)
 
 
+def test_tubes_of_one_lattice_share_its_layout(q5, q7):
+    config = ShockTubeConfig(model=q5, expansion=TE2)
+    assert init_shock_tube(config, replace(config, rho_bar=4.0, tau=0.8)).tubes == 2
+    for other in (replace(config, nodes=800), replace(config, interface=400),
+                  replace(config, expansion=TE3), replace(config, model=q7)):
+        with pytest.raises(ValueError, match="tubes of one lattice must share model, "
+                                             "expansion, nodes and interface"):
+            init_shock_tube(config, other)
+
+
 def test_boundary_bands_stay_pinned(q5):
     config = ShockTubeConfig(model=q5, expansion=TE2)
     state = init_shock_tube(config)
